@@ -1,19 +1,23 @@
 """Builds adjacency blocks from an entity store.
 
 Intra-layer similarity is attribute overlap: hospitals share departments,
-departments share doctors, doctors share hospitals. Inter-layer belongs-to
-weights: a department weighs into a hospital by the number of doctors it has
-there, and a doctor weighs into a department by qualification score. Explicit
-per-pair weights on the department record override the computed defaults.
+departments share doctors, doctors share hospitals. With ``B`` a layer's 0/1
+node x attribute incidence, over every attribute value the layer lists (values
+that name no entity still count), the block is ``B Bᵀ`` with the diagonal
+zeroed; Jaccard is ``shared / (deg_i + deg_j - shared)``. Inter-layer
+belongs-to weights: a department weighs into a hospital by the number of
+doctors it has there, and a doctor weighs into a department by qualification
+score. Explicit per-pair weights on the department record override the
+computed defaults.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NegativePriorityError, UnknownLayerError, UnsupportedLayerPairError
+from .errors import UnknownLayerError, UnsupportedLayerPairError
 from .ingest import EntityStore
 from .model import (
     INTER_LAYER_PAIRS,
@@ -33,17 +37,13 @@ class SimilarityMode(Enum):
     JACCARD = "jaccard"
 
 
-def intra_weight(attrs_a: Iterable[str], attrs_b: Iterable[str],
-                 mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> float:
-    """Similarity between two entities' attribute sets."""
-    a, b = set(attrs_a), set(attrs_b)
-    shared = len(a & b)
-    if mode is SimilarityMode.INTERSECTION_COUNT:
-        return float(shared)
-    if mode is SimilarityMode.JACCARD:
-        union = len(a | b)
-        return shared / union if union else 0.0
-    raise UnknownLayerError(f"unknown similarity mode {mode!r}")
+def _incidence(attr_sets: Sequence[Iterable[str]], columns: Sequence[str]) -> np.ndarray:
+    """0/1 matrix, [i, j] = 1 where attr_sets[i] holds columns[j]; other values are ignored."""
+    index = {c: j for j, c in enumerate(columns)}
+    out = np.zeros((len(attr_sets), len(index)))
+    for i, attrs in enumerate(attr_sets):
+        out[i, [index[a] for a in attrs if a in index]] = 1.0
+    return out
 
 
 def layer_attributes(store: EntityStore, layer: LayerId) -> tuple[tuple[str, ...], list[frozenset[str]]]:
@@ -65,27 +65,18 @@ def build_intra_layer(store: EntityStore, layer: LayerId,
                       mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> AdjacencyBlock:
     """Square similarity block for one layer; symmetric with a zero diagonal."""
     ids, attrs = layer_attributes(store, layer)
-    n = len(ids)
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = intra_weight(attrs[i], attrs[j], mode)
-            weights[i, j] = weights[j, i] = w
+    incidence = _incidence(attrs, sorted(set().union(*attrs)))
+    weights = incidence @ incidence.T
+    np.fill_diagonal(weights, 0.0)
+    if mode is SimilarityMode.JACCARD:
+        degree = incidence.sum(axis=1)
+        i, j = np.nonzero(weights)
+        shared = weights[i, j]
+        weights[i, j] = shared / (degree[i] + degree[j] - shared)
+    elif mode is not SimilarityMode.INTERSECTION_COUNT:
+        raise UnknownLayerError(f"unknown similarity mode {mode!r}")
     return AdjacencyBlock(rows=coerce_layer(layer), cols=coerce_layer(layer),
                           row_ids=ids, col_ids=ids, weights=weights)
-
-
-def equipment_adjusted_weight(doctor_count: float, equipment_priorities: Sequence[float]) -> float:
-    """Belongs-to weight for a hospital/department cell with equipment taken
-    into account: the doctor count plus the sum of the priority scores."""
-    if doctor_count < 0:
-        raise NegativePriorityError(f"doctor count must be non-negative, got {doctor_count}")
-    total = 0.0
-    for p in equipment_priorities:
-        if p < 0:
-            raise NegativePriorityError(f"equipment priority must be non-negative, got {p}")
-        total += p
-    return float(doctor_count) + total
 
 
 def _co_affiliation_counts(store: EntityStore, hospital_ids, department_ids) -> np.ndarray:
@@ -102,12 +93,7 @@ def _co_affiliation_counts(store: EntityStore, hospital_ids, department_ids) -> 
     return counts
 
 
-def build_inter_layer(
-    store: EntityStore,
-    rows: LayerId,
-    cols: LayerId,
-    equipment_priorities: Mapping[tuple[str, str], Sequence[float]] | None = None,
-) -> AdjacencyBlock:
+def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> AdjacencyBlock:
     """Belongs-to block for (hospital, department) or (department, doctor).
 
     A hospital x department cell is nonzero only where membership is declared
@@ -128,23 +114,17 @@ def build_inter_layer(
     if (rows, cols) == (LayerId.HOSPITAL, LayerId.DEPARTMENT):
         h_ids = tuple(sorted(store.hospitals))
         d_ids = tuple(sorted(store.departments))
+        depts = [store.departments[d] for d in d_ids]
+        declared = (_incidence([store.hospitals[h].department_ids for h in h_ids], d_ids)
+                    + _incidence([dept.hospital_ids for dept in depts], h_ids).T) > 0
         counts = _co_affiliation_counts(store, h_ids, d_ids)
-        weights = np.zeros_like(counts)
-        for i, h in enumerate(h_ids):
-            for j, d in enumerate(d_ids):
-                dept = store.departments[d]
-                member = d in store.hospitals[h].department_ids or h in dept.hospital_ids
-                if not member:
-                    continue
-                if h in dept.hospital_weights:
-                    weights[i, j] = dept.hospital_weights[h]
-                else:
-                    weights[i, j] = counts[i, j] if counts[i, j] > 0 else 1.0
-        if equipment_priorities:
-            for (h, d), priorities in equipment_priorities.items():
-                if h in h_ids and d in d_ids:
-                    i, j = h_ids.index(h), d_ids.index(d)
-                    weights[i, j] = equipment_adjusted_weight(weights[i, j], priorities)
+        weights = np.where(declared, np.maximum(counts, 1.0), 0.0)
+        h_index = {h: i for i, h in enumerate(h_ids)}
+        for j, dept in enumerate(depts):
+            for h, w in dept.hospital_weights.items():
+                i = h_index.get(h)
+                if i is not None and declared[i, j]:
+                    weights[i, j] = w
         return AdjacencyBlock(rows=rows, cols=cols, row_ids=h_ids, col_ids=d_ids, weights=weights)
 
     d_ids = tuple(sorted(store.departments))
@@ -165,11 +145,8 @@ def build_inter_layer(
     return AdjacencyBlock(rows=rows, cols=cols, row_ids=d_ids, col_ids=p_ids, weights=weights)
 
 
-def build_network(
-    store: EntityStore,
-    mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT,
-    equipment_priorities: Mapping[tuple[str, str], Sequence[float]] | None = None,
-) -> MultiLayerNetwork:
+def build_network(store: EntityStore,
+                  mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> MultiLayerNetwork:
     """Assemble the full three-layer network from a (cleaned) store."""
     graphs = {}
     intra = {}
@@ -179,7 +156,7 @@ def build_network(
         intra[layer] = build_intra_layer(store, layer, mode)
     inter = {
         (LayerId.HOSPITAL, LayerId.DEPARTMENT): build_inter_layer(
-            store, LayerId.HOSPITAL, LayerId.DEPARTMENT, equipment_priorities),
+            store, LayerId.HOSPITAL, LayerId.DEPARTMENT),
         (LayerId.DEPARTMENT, LayerId.DOCTOR): build_inter_layer(
             store, LayerId.DEPARTMENT, LayerId.DOCTOR),
     }

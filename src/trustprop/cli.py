@@ -52,6 +52,11 @@ def _expect_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bool, a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _derived_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence((master, *key)).generate_state(1)[0])
 
@@ -89,7 +94,7 @@ class RunConfig:
         seed = raw.get("seed", 0)
         if seed_override is not None:
             seed = seed_override
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ConfigError(f"config.seed: must be a non-negative integer, got {seed!r}")
         self.seed = seed
 
@@ -116,7 +121,8 @@ class RunConfig:
             raise ConfigError(f"config.convergence: {exc}") from exc
 
         damping = raw.get("damping", 1.0)
-        if not isinstance(damping, (int, float)) or not 0.0 < float(damping) <= 1.0:
+        if isinstance(damping, bool) or not isinstance(damping, (int, float)) \
+                or not 0.0 < float(damping) <= 1.0:
             raise ConfigError(f"config.damping: must lie in (0, 1], got {damping!r}")
         self.damping = float(damping)
 
@@ -132,7 +138,7 @@ class RunConfig:
         self.ks: dict[LayerId, list[int]] = {}
         for layer in LAYERS:
             ks = ks_raw.get(layer.value, [3])
-            if not isinstance(ks, list) or not all(isinstance(k, int) and k >= 1 for k in ks):
+            if not isinstance(ks, list) or not all(_is_int(k) and k >= 1 for k in ks):
                 raise ConfigError(f"config.evaluation.ks.{layer.value}: must be a list of ints >= 1")
             self.ks[layer] = ks
         scenarios = evaluation.get("scenarios", ["uniform", "normal", "skewed"])
@@ -148,7 +154,7 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"config.stress.method: unknown method {stress.get('method')!r}") from None
         seeds = stress.get("seeds", [self.seed])
-        if not isinstance(seeds, list) or not all(isinstance(s, int) and s >= 0 for s in seeds):
+        if not isinstance(seeds, list) or not all(_is_int(s) and s >= 0 for s in seeds):
             raise ConfigError("config.stress.seeds: must be a list of non-negative integers")
         try:
             self.stress = GeneratorConfig(method=method,

@@ -32,10 +32,6 @@ class UnsupportedLayerPairError(InputError):
     """Requested an inter-layer block for a pair that has no belongs-to relation."""
 
 
-class NegativePriorityError(InputError):
-    """An equipment priority score was negative."""
-
-
 class IntraLayerBlockError(InputError):
     """An operation that needs an inter-layer block received an intra-layer one."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,6 +106,8 @@ def _parse_members(cell: str, path: str, line: int, what: str) -> tuple[frozense
                 weight = float(raw)
             except ValueError:
                 raise MalformedRowError(path, line, f"{what}: bad weight {raw!r} for {ident!r}")
+            if not math.isfinite(weight):
+                raise MalformedRowError(path, line, f"{what}: non-finite weight for {ident!r}")
             if weight < 0:
                 raise MalformedRowError(path, line, f"{what}: negative weight for {ident!r}")
             weights[ident] = weight
@@ -127,8 +130,8 @@ def _parse_float(cell: str, path: str, line: int, what: str,
         value = float(cell)
     except ValueError:
         raise MalformedRowError(path, line, f"{what}: not a number: {cell!r}")
-    if value != value:
-        raise MalformedRowError(path, line, f"{what}: NaN is not a value")
+    if not math.isfinite(value):
+        raise MalformedRowError(path, line, f"{what}: {cell!r} is not a finite number")
     if lo is not None and value < lo or hi is not None and value > hi:
         raise MalformedRowError(path, line, f"{what}: {value} outside [{lo}, {hi}]")
     return value
@@ -284,15 +287,17 @@ def clean(store: EntityStore) -> EntityStore:
         for p in dept.doctor_ids:
             if p in member_of:
                 member_of[p].add(d)
+    members: dict[str, set[str]] = {d: set() for d in departments}
+    for p, ds in member_of.items():
+        for d in ds:
+            if d in members:
+                members[d].add(p)
     doctors = {
         p: dataclasses.replace(doc, department_ids=frozenset(member_of[p]))
         for p, doc in doctors.items()
     }
     departments = {
-        d: dataclasses.replace(
-            dept,
-            doctor_ids=dept.doctor_ids | {p for p, dm in member_of.items() if d in dm},
-        )
+        d: dataclasses.replace(dept, doctor_ids=dept.doctor_ids | members[d])
         for d, dept in departments.items()
     }
 
@@ -300,29 +305,31 @@ def clean(store: EntityStore) -> EntityStore:
         doctors = {p: doc for p, doc in doctors.items()
                    if doc.verified and doc.claimed and _doctor_required_fields_ok(doc)}
         hospitals = {h: rec for h, rec in hospitals.items() if rec.rating is not None}
+        kept_doctors, kept_hospitals = set(doctors), set(hospitals)
         departments = {d: dept for d, dept in departments.items()
-                       if dept.doctor_ids & set(doctors)}
+                       if dept.doctor_ids & kept_doctors}
+        kept_departments = set(departments)
 
         changed = False
         repaired_doctors = {}
         for p, doc in doctors.items():
-            hs = doc.hospital_ids & set(hospitals)
-            ds = doc.department_ids & set(departments)
+            hs = doc.hospital_ids & kept_hospitals
+            ds = doc.department_ids & kept_departments
             if hs != doc.hospital_ids or ds != doc.department_ids:
                 doc = dataclasses.replace(doc, hospital_ids=hs, department_ids=ds)
                 changed = True
             repaired_doctors[p] = doc
         repaired_hospitals = {}
         for h, rec in hospitals.items():
-            ds = rec.department_ids & set(departments)
+            ds = rec.department_ids & kept_departments
             if ds != rec.department_ids:
                 rec = dataclasses.replace(rec, department_ids=ds)
                 changed = True
             repaired_hospitals[h] = rec
         repaired_departments = {}
         for d, dept in departments.items():
-            ps = dept.doctor_ids & set(doctors)
-            hs = dept.hospital_ids & set(hospitals)
+            ps = dept.doctor_ids & kept_doctors
+            hs = dept.hospital_ids & kept_hospitals
             if ps != dept.doctor_ids or hs != dept.hospital_ids:
                 dept = dataclasses.replace(
                     dept,

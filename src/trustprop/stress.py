@@ -184,11 +184,6 @@ class RebuildReport:
     dropped_by_tag: dict[str, int] = field(default_factory=dict)
 
 
-def network_shapes(trusts: TrustNetwork) -> dict[str, TrustMatrix]:
-    """Tag -> template matrix, fixing the id universe a rebuild must target."""
-    return trusts.by_tag()
-
-
 def rebuild_trust(table: Sequence[EdgeRecord],
                   shapes: Mapping[str, TrustMatrix]) -> tuple[dict[str, TrustMatrix], RebuildReport]:
     """Pivot an edge table back into row-stochastic trust matrices.
@@ -290,7 +285,7 @@ def run_stress(
     """Run the full stress loop once per seed, rescoring with the same
     residuals and propagation settings as the original run."""
     table = export_edge_table(trusts.all_matrices())
-    shapes = network_shapes(trusts)
+    shapes = trusts.by_tag()
     residuals = {layer: scores.residual for layer, scores in true_scores.items()}
     runs: list[StressRun] = []
     for seed in seeds:

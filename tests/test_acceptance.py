@@ -43,7 +43,7 @@ from trustprop import (
 )
 from trustprop.builder import build_intra_layer, build_inter_layer
 from trustprop.model import AdjacencyBlock, ScoreKind
-from trustprop.stress import export_edge_table, network_shapes, trust_network_from_tags
+from trustprop.stress import export_edge_table, trust_network_from_tags
 
 DEMO = Path(__file__).parent / "fixtures" / "demo"
 README = Path(__file__).parent.parent / "README.md"
@@ -278,7 +278,7 @@ def test_synthetic_stress_round_trip(tmp_path):
         table = export_edge_table(trusts.all_matrices())
         path = tmp_path / "edges.csv"
         write_edge_table(table, path)
-        rebuilt, report = rebuild_trust(read_edge_table(path), network_shapes(trusts))
+        rebuilt, report = rebuild_trust(read_edge_table(path), trusts.by_tag())
         assert report.dropped_diagonal == 0
         synth_scores = score_network(trust_network_from_tags(rebuilt), residuals, config)
         for layer in LayerId:
@@ -291,7 +291,7 @@ def test_synthetic_stress_round_trip(tmp_path):
             generator = GeneratorConfig(method=GeneratorMethod.DIRICHLET,
                                         concentration=1e12, seed=seed)
             synth = generate_synthetic(table, generator)
-            regenerated, _ = rebuild_trust(synth, network_shapes(trusts))
+            regenerated, _ = rebuild_trust(synth, trusts.by_tag())
             scores = score_network(trust_network_from_tags(regenerated), residuals, config)
             a = true_scores[LayerId.HOSPITAL].result.scores.values
             b = scores[LayerId.HOSPITAL].result.scores.values

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from trustprop import LayerId, build_inter_layer, build_intra_layer, build_network
-from trustprop.builder import SimilarityMode, equipment_adjusted_weight, intra_weight
-from trustprop.errors import NegativePriorityError, UnsupportedLayerPairError
+from trustprop.builder import SimilarityMode, layer_attributes
+from trustprop.errors import UnsupportedLayerPairError
 from trustprop.ingest import DepartmentRecord, DoctorRecord, EntityStore, HospitalRecord
 
 
@@ -53,22 +53,28 @@ def random_store(rng, n_hospitals=4, n_departments=4, n_doctors=6):
     return EntityStore(doctors=doctors, hospitals=hospitals, departments=departments)
 
 
-def test_intra_weight_counts_shared_attributes():
-    assert intra_weight({"a", "b", "c"}, {"b", "c", "d"}) == 2.0
-    assert intra_weight(set(), {"a"}) == 0.0
-
-
-def test_intra_weight_jaccard_bounded():
+@pytest.mark.parametrize("mode", list(SimilarityMode))
+def test_intra_blocks_match_pairwise_set_formula(mode):
     rng = np.random.default_rng(5)
-    universe = [f"x{i}" for i in range(10)]
-    for _ in range(200):
-        a = set(rng.choice(universe, size=rng.integers(0, 10)))
-        b = set(rng.choice(universe, size=rng.integers(0, 10)))
-        j = intra_weight(a, b, SimilarityMode.JACCARD)
-        assert 0.0 <= j <= 1.0
-        if a == b and a:
-            assert j == 1.0
-    assert intra_weight(set(), set(), SimilarityMode.JACCARD) == 0.0
+    for _ in range(25):
+        store = random_store(rng, n_hospitals=5, n_departments=6, n_doctors=9)
+        for layer in LayerId:
+            block = build_intra_layer(store, layer, mode)
+            ids, attrs = layer_attributes(store, layer)
+            assert block.row_ids == block.col_ids == ids
+            for i in range(len(ids)):
+                for j in range(len(ids)):
+                    shared = len(attrs[i] & attrs[j])
+                    union = len(attrs[i] | attrs[j])
+                    if i == j:
+                        want = 0.0
+                    elif mode is SimilarityMode.INTERSECTION_COUNT:
+                        want = float(shared)
+                    else:
+                        want = shared / union if union else 0.0
+                    assert block.weights[i, j] == want, (layer, ids[i], ids[j])
+            if mode is SimilarityMode.JACCARD:
+                assert ((block.weights >= 0.0) & (block.weights <= 1.0)).all()
 
 
 def test_demo_intra_blocks_exact(demo_store):
@@ -154,22 +160,6 @@ def test_qualification_score_fallback():
     )
     block = build_inter_layer(store, LayerId.DEPARTMENT, LayerId.DOCTOR)
     assert block.weights.tolist() == [[7.0]]
-
-
-def test_equipment_adjusted_weight():
-    assert equipment_adjusted_weight(3, [2.0, 0.5]) == 5.5
-    assert equipment_adjusted_weight(0, []) == 0.0
-    with pytest.raises(NegativePriorityError):
-        equipment_adjusted_weight(3, [-1.0])
-    with pytest.raises(NegativePriorityError):
-        equipment_adjusted_weight(-1, [])
-
-
-def test_equipment_priorities_extend_cell(demo_store):
-    block = build_inter_layer(demo_store, LayerId.HOSPITAL, LayerId.DEPARTMENT,
-                              equipment_priorities={("H1", "D1"): [3.0, 1.0]})
-    assert block.weights[0, 0] == 6.0  # 2 doctors + 4 priority
-    assert block.weights[1, 0] == 1.0  # other cells untouched
 
 
 def test_unsupported_pair_raises(demo_store):

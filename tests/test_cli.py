@@ -137,6 +137,10 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     lambda c: c["residual"]["hospital"].update(distribution="nosuch"),
     lambda c: c["evaluation"].update(scenarios=["lognormal"]),
     lambda c: c["stress"].update(method="shuffle"),
+    lambda c: c.update(seed=True),
+    lambda c: c.update(damping=True),
+    lambda c: c["evaluation"]["ks"].update(hospital=[True]),
+    lambda c: c["stress"].update(seeds=[True]),
 ])
 def test_invalid_config_exits_three(tmp_path, out, mutate):
     config = json.loads((DEMO / "config.json").read_text())

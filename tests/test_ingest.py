@@ -85,6 +85,9 @@ def test_malformed_row_reports_path_and_line(tmp_path):
     "P2,Doc,H1,D1,-1,10,5,80,50,20,true,true",     # negative qualification
     "P1,Doc,H1,D1,7,10,5,80,50,20,true,true",      # duplicate id
     "P2,Doc,H1;H1,D1,7,10,5,80,50,20,true,true",   # duplicate member
+    "P2,Doc,H1,D1,inf,10,5,80,50,20,true,true",    # infinite qualification
+    "P2,Doc,H1,D1,nan,10,5,80,50,20,true,true",    # NaN qualification
+    "P2,Doc,H1,D1,7,Infinity,5,80,50,20,true,true",  # infinite experience
 ])
 def test_bad_doctor_rows_rejected(tmp_path, row):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR, row],
@@ -94,10 +97,12 @@ def test_bad_doctor_rows_rejected(tmp_path, row):
 
 
 def test_negative_membership_weight_rejected(tmp_path):
-    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
-                         departments=["D1,Dept One,P1:-2,H1"])
-    with pytest.raises(MalformedRowError):
-        parse(paths)
+    for department in ("D1,Dept One,P1:-2,H1", "D1,Dept One,P1:nan,H1",
+                       "D1,Dept One,P1:inf,H1", "D1,Dept One,P1,H1:-inf"):
+        paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
+                             departments=[department])
+        with pytest.raises(MalformedRowError):
+            parse(paths)
 
 
 def test_clean_drops_unverified_and_dangling(tmp_path):

@@ -27,7 +27,7 @@ from trustprop.errors import (
     OutOfShapeError,
     SchemaVersionError,
 )
-from trustprop.stress import network_shapes, trust_network_from_tags
+from trustprop.stress import trust_network_from_tags
 
 
 def demo_scores(demo_network, demo_trust, **kwargs):
@@ -135,7 +135,7 @@ def test_bootstrap_resamples_within_tag(demo_trust):
 
 def test_rebuild_round_trip_identity(demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
-    rebuilt, report = rebuild_trust(table, network_shapes(demo_trust))
+    rebuilt, report = rebuild_trust(table, demo_trust.by_tag())
     assert report.records == 68 and report.dropped_diagonal == 0
     for tag, matrix in demo_trust.by_tag().items():
         assert np.allclose(rebuilt[tag].values, matrix.values, atol=1e-12), tag
@@ -145,7 +145,7 @@ def test_rebuild_drops_and_counts_diagonal_records(demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
     table = table + [EdgeRecord(layer_tag="h", src="H1", dst="H1", trust=0.9),
                      EdgeRecord(layer_tag="p", src="P2", dst="P2", trust=0.4)]
-    rebuilt, report = rebuild_trust(table, network_shapes(demo_trust))
+    rebuilt, report = rebuild_trust(table, demo_trust.by_tag())
     assert report.dropped_diagonal == 2
     assert report.dropped_by_tag == {"h": 1, "p": 1}
     assert rebuilt["h"].values[0, 0] == 0.0
@@ -154,7 +154,7 @@ def test_rebuild_drops_and_counts_diagonal_records(demo_trust):
 
 def test_rebuild_renormalizes_rows(demo_trust):
     # single surviving edge in a row gets the full trust mass
-    shapes = network_shapes(demo_trust)
+    shapes = demo_trust.by_tag()
     table = [EdgeRecord(layer_tag="h", src="H1", dst="H2", trust=0.123)]
     rebuilt, _ = rebuild_trust(table, shapes)
     h = rebuilt["h"]
@@ -163,7 +163,7 @@ def test_rebuild_renormalizes_rows(demo_trust):
 
 
 def test_rebuild_rejects_unknown_ids(demo_trust):
-    shapes = network_shapes(demo_trust)
+    shapes = demo_trust.by_tag()
     with pytest.raises(OutOfShapeError):
         rebuild_trust([EdgeRecord(layer_tag="h", src="H9", dst="H1", trust=0.5)], shapes)
     with pytest.raises(OutOfShapeError):
