@@ -51,7 +51,7 @@ from .scoring import (
     score_network,
 )
 from .stress import (
-    EdgeRecord,
+    EdgeTable,
     GeneratorConfig,
     GeneratorMethod,
     export_edge_table,
@@ -71,7 +71,7 @@ __all__ = [
     "ConfigError",
     "ConvergenceConfig",
     "DeltaNorm",
-    "EdgeRecord",
+    "EdgeTable",
     "EntityStore",
     "GeneratorConfig",
     "GeneratorMethod",

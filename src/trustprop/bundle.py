@@ -267,5 +267,8 @@ def write_stress_pairs_csv(runs: Sequence[StressRun], path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["seed", "layer", "src", "dst", "true_trust", "synthetic_trust"])
         for run in runs:
-            for tag, src, dst, true_value, synth_value in run.pairs:
+            edges = run.edges
+            for tag, src, dst, true_value, synth_value in zip(
+                    edges.tag, edges.src, edges.dst, edges.trust.tolist(),
+                    run.synthetic.trust.tolist()):
                 writer.writerow([str(run.seed), tag, src, dst, _fmt(true_value), _fmt(synth_value)])

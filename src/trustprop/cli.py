@@ -27,6 +27,8 @@ from .scoring import (
     ResidualConfig,
     ResidualKind,
     generate_residual,
+    is_int,
+    is_real,
     score_network,
 )
 from .stress import GeneratorConfig, GeneratorMethod, export_edge_table, run_stress, write_edge_table
@@ -50,11 +52,6 @@ def _expect_keys(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(sorted(unknown))}")
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (JSON true/false load as bool, a subclass of int)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _derived_seed(master: int, *key: int) -> int:
@@ -94,7 +91,7 @@ class RunConfig:
         seed = raw.get("seed", 0)
         if seed_override is not None:
             seed = seed_override
-        if not _is_int(seed) or seed < 0:
+        if not is_int(seed) or seed < 0:
             raise ConfigError(f"config.seed: must be a non-negative integer, got {seed!r}")
         self.seed = seed
 
@@ -121,8 +118,7 @@ class RunConfig:
             raise ConfigError(f"config.convergence: {exc}") from exc
 
         damping = raw.get("damping", 1.0)
-        if isinstance(damping, bool) or not isinstance(damping, (int, float)) \
-                or not 0.0 < float(damping) <= 1.0:
+        if not is_real(damping) or not 0.0 < damping <= 1.0:
             raise ConfigError(f"config.damping: must lie in (0, 1], got {damping!r}")
         self.damping = float(damping)
 
@@ -138,7 +134,7 @@ class RunConfig:
         self.ks: dict[LayerId, list[int]] = {}
         for layer in LAYERS:
             ks = ks_raw.get(layer.value, [3])
-            if not isinstance(ks, list) or not all(_is_int(k) and k >= 1 for k in ks):
+            if not isinstance(ks, list) or not all(is_int(k) and k >= 1 for k in ks):
                 raise ConfigError(f"config.evaluation.ks.{layer.value}: must be a list of ints >= 1")
             self.ks[layer] = ks
         scenarios = evaluation.get("scenarios", ["uniform", "normal", "skewed"])
@@ -154,7 +150,7 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"config.stress.method: unknown method {stress.get('method')!r}") from None
         seeds = stress.get("seeds", [self.seed])
-        if not isinstance(seeds, list) or not all(_is_int(s) and s >= 0 for s in seeds):
+        if not isinstance(seeds, list) or not all(is_int(s) and s >= 0 for s in seeds):
             raise ConfigError("config.stress.seeds: must be a list of non-negative integers")
         try:
             self.stress = GeneratorConfig(method=method,
@@ -299,7 +295,6 @@ def cmd_stress(config: RunConfig) -> int:
     runs = run_stress(trusts, true_scores, config.stress, config.stress_seeds,
                       config.convergence, config.damping, config.department_feed,
                       ks=config.ks)
-    write_edge_table(export_edge_table(trusts.all_matrices()), config.out_dir / "edges.csv")
     bundle.write_stress_json(runs, config.stress.method.value, config.out_dir / "stress.json")
     bundle.write_stress_pairs_csv(runs, config.out_dir / "stress_pairs.csv")
     dropped = sum(run.rebuild.dropped_diagonal for run in runs)

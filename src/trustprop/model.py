@@ -175,6 +175,11 @@ class TrustMatrix:
     def violations(self) -> list[str]:
         out = []
         v = self.values
+        finite = np.isfinite(v)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            out.append(f"{self.tag} trust: non-finite value {v[i, j]} at "
+                       f"({self.row_ids[i]},{self.col_ids[j]})")
         if v.size and (v < 0).any():
             i, j = np.argwhere(v < 0)[0]
             out.append(f"{self.tag} trust: negative value at ({self.row_ids[i]},{self.col_ids[j]})")
@@ -246,6 +251,15 @@ class MultiLayerNetwork:
         return self.graphs[layer].node_ids
 
 
+def _non_finite(name: str, block: AdjacencyBlock) -> list[str]:
+    finite = np.isfinite(block.weights)
+    if finite.all():
+        return []
+    i, j = np.argwhere(~finite)[0]
+    return [f"{name} block: non-finite weight {block.weights[i, j]} at "
+            f"({block.row_ids[i]},{block.col_ids[j]})"]
+
+
 def validate_network(network: MultiLayerNetwork) -> list[str]:
     """Check structural invariants; return violation descriptions (empty when sound).
 
@@ -273,6 +287,7 @@ def validate_network(network: MultiLayerNetwork) -> list[str]:
         if block.row_ids != ids or block.col_ids != ids:
             out.append(f"{layer.value} intra block: ids do not match the layer's node order")
             continue
+        out += _non_finite(f"{layer.value} intra", block)
         w = block.weights
         if w.size and (w < 0).any():
             i, j = np.argwhere(w < 0)[0]
@@ -297,6 +312,7 @@ def validate_network(network: MultiLayerNetwork) -> list[str]:
         if block.row_ids != network.node_ids(pair[0]) or block.col_ids != network.node_ids(pair[1]):
             out.append(f"{name} block: ids do not match the layers' node order")
             continue
+        out += _non_finite(name, block)
         if block.weights.size and (block.weights < 0).any():
             i, j = np.argwhere(block.weights < 0)[0]
             out.append(f"{name} block: negative weight at ({block.row_ids[i]},{block.col_ids[j]})")

@@ -9,6 +9,8 @@ conserved at every step.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -18,6 +20,21 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidConfigError
 from .model import LayerId, ScoreKind, ScoreVector, TrustMatrix
 from .trust import TrustNetwork
+
+
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true/false load as bool, a subclass of int)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class ResidualKind(Enum):
@@ -49,8 +66,12 @@ class ResidualConfig:
     def __post_init__(self):
         if not isinstance(self.distribution, ResidualKind):
             raise InvalidConfigError(f"unknown residual distribution {self.distribution!r}")
-        if self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise InvalidConfigError("residual seed must be a non-negative integer")
+        for name in ("value", "low", "high", "mean", "stdev", "alpha", "beta"):
+            if not is_real(getattr(self, name)):
+                raise InvalidConfigError(
+                    f"residual {name} must be a finite number, got {getattr(self, name)!r}")
         if self.distribution is ResidualKind.CONSTANT and not 0.0 <= self.value <= 1.0:
             raise InvalidConfigError(f"constant residual must lie in [0, 1], got {self.value}")
         if self.distribution is ResidualKind.UNIFORM:
@@ -132,10 +153,11 @@ class ConvergenceConfig:
     norm: DeltaNorm = DeltaNorm.MAX_ABS
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iterations < 0:
-            raise InvalidConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if not is_real(self.epsilon) or self.epsilon <= 0:
+            raise InvalidConfigError(f"epsilon must be a positive number, got {self.epsilon!r}")
+        if not is_int(self.max_iterations) or self.max_iterations < 0:
+            raise InvalidConfigError(
+                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
         if not isinstance(self.norm, DeltaNorm):
             raise InvalidConfigError(f"unknown delta norm {self.norm!r}")
 

@@ -1,6 +1,6 @@
 """Synthetic stress pipeline: export trust edges, regenerate them, rebuild, rescore.
 
-The trust matrices flatten to an edge table (one record per positive cell). A
+The trust matrices flatten to a columnar edge table (one row per positive cell). A
 generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
 is pivoted back into matrices, renormalized, and scored again. Comparing the
@@ -9,6 +9,8 @@ leans on the exact trust values.
 """
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -24,38 +26,65 @@ from .errors import (
     SchemaVersionError,
 )
 from .metrics import MetricsReport, build_report
-from .model import LayerId, ScoreVector, TrustMatrix
-from .scoring import ConvergenceConfig, LayerScores, score_network
-from .trust import TrustNetwork
+from .model import LayerId, TrustMatrix
+from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_network
+from .trust import TrustNetwork, _normalize_rows
 
 EDGE_TABLE_SCHEMA = "trust-edges/1"
+_EDGE_HEADER = ["layer", "src", "dst", "trust"]
 
-_TAG_LAYERS: dict[str, tuple[LayerId, LayerId]] = {
-    "h": (LayerId.HOSPITAL, LayerId.HOSPITAL),
-    "d": (LayerId.DEPARTMENT, LayerId.DEPARTMENT),
-    "p": (LayerId.DOCTOR, LayerId.DOCTOR),
-    "hd": (LayerId.HOSPITAL, LayerId.DEPARTMENT),
-    "dh": (LayerId.DEPARTMENT, LayerId.HOSPITAL),
-    "dp": (LayerId.DEPARTMENT, LayerId.DOCTOR),
-    "pd": (LayerId.DOCTOR, LayerId.DEPARTMENT),
-}
+#: matrix tags: h/d/p for the intra-layer matrices, hd/dh/dp/pd for the inter-layer ones
+_TAGS = frozenset({"h", "d", "p", "hd", "dh", "dp", "pd"})
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One positive trust cell: tag names the matrix, src/dst the entities."""
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Trust cells as four parallel read-only columns: matrix tag, source id,
+    target id (object arrays of ``str``) and trust (float64).
 
-    layer_tag: str
-    src: str
-    dst: str
-    trust: float
+    Trust must be finite and non-negative: a synthetic draw may underflow to
+    zero, and rebuild treats a zero as an absent cell.
+    """
+
+    tag: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    trust: np.ndarray
 
     def __post_init__(self):
-        if self.layer_tag not in _TAG_LAYERS:
-            raise InputError(f"unknown layer tag {self.layer_tag!r}")
-        if not self.trust > 0:
-            raise InputError(f"edge trust must be positive, got {self.trust!r} "
-                             f"({self.layer_tag}: {self.src}->{self.dst})")
+        for name in ("tag", "src", "dst", "trust"):
+            column = np.asarray(getattr(self, name), dtype=float if name == "trust" else object)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        shapes = {self.tag.shape, self.src.shape, self.dst.shape, self.trust.shape}
+        if self.trust.ndim != 1 or len(shapes) != 1:
+            raise InputError("edge table columns must be 1-dimensional and of equal length")
+        unknown = set(self.tag.tolist()) - _TAGS
+        if unknown:
+            raise InputError(f"unknown layer tag {min(unknown)!r}")
+        bad = np.flatnonzero(~(np.isfinite(self.trust) & (self.trust >= 0)))
+        if bad.size:
+            k = bad[0]
+            raise InputError(f"edge trust must be finite and non-negative, got {self.trust[k]} "
+                             f"({self.tag[k]}: {self.src[k]}->{self.dst[k]})")
+
+    def __len__(self) -> int:
+        return len(self.trust)
+
+
+def _groups(keys: Sequence) -> dict:
+    """Row indices of each distinct key, in table order; keys in first-appearance order."""
+    codes: dict = {}
+    inverse = np.fromiter((codes.setdefault(key, len(codes)) for key in keys),
+                          dtype=np.intp, count=len(keys))
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(codes)))[:-1]
+    return dict(zip(codes, np.split(np.argsort(inverse, kind="stable"), bounds)))
+
+
+def _positions(ids: Sequence[str], column: np.ndarray) -> np.ndarray:
+    """Index of each id of ``column`` in ``ids``, -1 where it is absent."""
+    index = {name: i for i, name in enumerate(ids)}
+    return np.fromiter((index.get(name, -1) for name in column), dtype=np.intp, count=len(column))
 
 
 class GeneratorMethod(Enum):
@@ -74,105 +103,86 @@ class GeneratorConfig:
     def __post_init__(self):
         if not isinstance(self.method, GeneratorMethod):
             raise InvalidConfigError(f"unknown generator method {self.method!r}")
-        if self.concentration <= 0:
-            raise InvalidConfigError(f"concentration must be positive, got {self.concentration}")
-        if self.seed < 0:
+        if not is_real(self.concentration) or self.concentration <= 0:
+            raise InvalidConfigError(
+                f"concentration must be a positive number, got {self.concentration!r}")
+        if not is_int(self.seed) or self.seed < 0:
             raise InvalidConfigError("generator seed must be a non-negative integer")
 
 
-def export_edge_table(matrices: Iterable[TrustMatrix]) -> list[EdgeRecord]:
-    """Flatten trust matrices to records, row-major, skipping zero cells."""
-    table: list[EdgeRecord] = []
+def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
+    """Flatten trust matrices to an edge table, row-major, skipping zero cells."""
+    tags, srcs, dsts, values = [], [], [], []
     for matrix in matrices:
-        values = matrix.values
-        for i, j in np.argwhere(values > 0):
-            table.append(EdgeRecord(layer_tag=matrix.tag, src=matrix.row_ids[i],
-                                    dst=matrix.col_ids[j], trust=float(values[i, j])))
-    return table
+        rows, cols = np.nonzero(matrix.values > 0)
+        tags.append(np.full(len(rows), matrix.tag, dtype=object))
+        srcs.append(np.asarray(matrix.row_ids, dtype=object)[rows])
+        dsts.append(np.asarray(matrix.col_ids, dtype=object)[cols])
+        values.append(matrix.values[rows, cols])
+    columns = (tags, srcs, dsts, values)
+    return EdgeTable(*(np.concatenate(column) if column else [] for column in columns))
 
 
-def write_edge_table(table: Sequence[EdgeRecord], path) -> None:
-    """Write records as CSV with 12 significant digits of trust."""
+def write_edge_table(table: EdgeTable, path) -> None:
+    """Write the table as CSV with 12 significant digits of trust; a field
+    holding a comma, a quote or a line break is quoted."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"# schema: {EDGE_TABLE_SCHEMA}\n")
-        handle.write("layer,src,dst,trust\n")
-        for rec in table:
-            handle.write(f"{rec.layer_tag},{rec.src},{rec.dst},{rec.trust:.12g}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_EDGE_HEADER)
+        writer.writerows(zip(table.tag, table.src, table.dst,
+                             (f"{value:.12g}" for value in table.trust.tolist())))
 
 
-def read_edge_table(path) -> list[EdgeRecord]:
-    table: list[EdgeRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline().strip()
-        if not first.startswith("# schema:"):
-            raise SchemaVersionError(f"{path}: missing schema marker line")
-        declared = first.split(":", 1)[1].strip()
-        if declared != EDGE_TABLE_SCHEMA:
-            raise SchemaVersionError(f"{path}: unsupported schema {declared!r}")
-        header = handle.readline().strip()
-        if header != "layer,src,dst,trust":
+def read_edge_table(path) -> EdgeTable:
+    """Read a table written by :func:`write_edge_table`; every trust value
+    must be positive and finite."""
+    columns: tuple[list, ...] = ([], [], [], [])
+    with open(path, encoding="utf-8", newline="") as handle:
+        marker = handle.readline().strip()
+        if marker != f"# schema: {EDGE_TABLE_SCHEMA}":
+            raise SchemaVersionError(f"{path}: expected schema {EDGE_TABLE_SCHEMA!r}, found {marker!r}")
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != _EDGE_HEADER:
             raise MalformedRowError(str(path), 2, f"unexpected header {header!r}")
-        for line_no, line in enumerate(handle, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise MalformedRowError(str(path), line_no, f"expected 4 fields, got {len(parts)}")
-            tag, src, dst, raw = parts
+        for row in filter(None, reader):
             try:
+                tag, src, dst, raw = row
                 trust = float(raw)
             except ValueError:
-                raise MalformedRowError(str(path), line_no, f"bad trust value {raw!r}")
-            try:
-                table.append(EdgeRecord(layer_tag=tag, src=src, dst=dst, trust=trust))
-            except InputError as exc:
-                raise MalformedRowError(str(path), line_no, str(exc))
-    return table
+                raise MalformedRowError(str(path), reader.line_num + 1,
+                                        f"expected layer,src,dst,trust, got {row!r}") from None
+            if tag not in _TAGS or not 0 < trust < math.inf:
+                raise MalformedRowError(str(path), reader.line_num + 1,
+                                        f"unknown layer tag or non-positive trust in {row!r}")
+            for column, value in zip(columns, (tag, src, dst, trust)):
+                column.append(value)
+    return EdgeTable(*columns)
 
 
-def generate_synthetic(table: Sequence[EdgeRecord], config: GeneratorConfig) -> list[EdgeRecord]:
+def generate_synthetic(table: EdgeTable, config: GeneratorConfig) -> EdgeTable:
     """Rewrite the trust values of an edge table, keeping its (src, dst) support.
 
-    identity copies values verbatim. dirichlet redraws each source row from
+    identity returns the table itself. dirichlet redraws each source row from
     Dirichlet(concentration * row values), so larger concentrations hug the
     original distribution. bootstrap resamples values with replacement within
-    each layer tag.
+    each layer tag. Rows and tags draw in first-appearance order.
     """
-    if not table:
+    if not len(table):
         raise EmptyTableError("cannot generate from an empty edge table")
     if config.method is GeneratorMethod.IDENTITY:
-        return list(table)
+        return table
 
     rng = np.random.default_rng(config.seed)
+    trust = np.empty_like(table.trust)
     if config.method is GeneratorMethod.DIRICHLET:
-        groups: dict[tuple[str, str], list[int]] = {}
-        for idx, rec in enumerate(table):
-            groups.setdefault((rec.layer_tag, rec.src), []).append(idx)
-        out: list[EdgeRecord] = list(table)
-        for key in groups:
-            indices = groups[key]
-            alpha = config.concentration * np.array([table[i].trust for i in indices])
-            draw = rng.dirichlet(alpha)
-            for i, value in zip(indices, draw):
-                rec = table[i]
-                out[i] = EdgeRecord(layer_tag=rec.layer_tag, src=rec.src,
-                                    dst=rec.dst, trust=float(value))
-        return out
-
-    by_tag: dict[str, list[int]] = {}
-    for idx, rec in enumerate(table):
-        by_tag.setdefault(rec.layer_tag, []).append(idx)
-    out = list(table)
-    for tag in by_tag:
-        indices = by_tag[tag]
-        values = np.array([table[i].trust for i in indices])
-        drawn = rng.choice(values, size=len(indices), replace=True)
-        for i, value in zip(indices, drawn):
-            rec = table[i]
-            out[i] = EdgeRecord(layer_tag=rec.layer_tag, src=rec.src,
-                                dst=rec.dst, trust=float(value))
-    return out
+        for group in _groups(list(zip(table.tag, table.src))).values():
+            trust[group] = rng.dirichlet(config.concentration * table.trust[group])
+    else:
+        for group in _groups(table.tag).values():
+            trust[group] = rng.choice(table.trust[group], size=len(group), replace=True)
+    return EdgeTable(table.tag, table.src, table.dst, trust)
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ class RebuildReport:
     dropped_by_tag: dict[str, int] = field(default_factory=dict)
 
 
-def rebuild_trust(table: Sequence[EdgeRecord],
+def rebuild_trust(table: EdgeTable,
                   shapes: Mapping[str, TrustMatrix]) -> tuple[dict[str, TrustMatrix], RebuildReport]:
     """Pivot an edge table back into row-stochastic trust matrices.
 
@@ -193,51 +203,36 @@ def rebuild_trust(table: Sequence[EdgeRecord],
     excluded). Every row is renormalized, so record values only set row
     proportions.
     """
-    grids: dict[str, np.ndarray] = {}
-    indexes: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
-    for tag, template in shapes.items():
-        grids[tag] = np.zeros(template.shape)
-        indexes[tag] = ({n: i for i, n in enumerate(template.row_ids)},
-                        {n: j for j, n in enumerate(template.col_ids)})
-
+    by_tag = _groups(table.tag)
+    missing = [tag for tag in by_tag if tag not in shapes]
+    if missing:
+        raise OutOfShapeError(f"record tag {missing[0]!r} has no target matrix")
+    matrices: dict[str, TrustMatrix] = {}
     dropped: dict[str, int] = {}
-    for rec in table:
-        if rec.layer_tag not in grids:
-            raise OutOfShapeError(f"record tag {rec.layer_tag!r} has no target matrix")
-        row_index, col_index = indexes[rec.layer_tag]
-        if rec.src not in row_index or rec.dst not in col_index:
-            raise OutOfShapeError(
-                f"{rec.layer_tag}: record ({rec.src},{rec.dst}) falls outside the matrix ids")
-        rows_layer, cols_layer = _TAG_LAYERS[rec.layer_tag]
-        if rows_layer is cols_layer and rec.src == rec.dst:
-            dropped[rec.layer_tag] = dropped.get(rec.layer_tag, 0) + 1
-            continue
-        grids[rec.layer_tag][row_index[rec.src], col_index[rec.dst]] = rec.trust
-
-    matrices = {}
-    for tag, grid in grids.items():
-        template = shapes[tag]
-        sums = grid.sum(axis=1, keepdims=True)
-        normalized = np.zeros_like(grid)
-        np.divide(grid, sums, out=normalized, where=sums > 0)
+    for tag, template in shapes.items():
+        group = by_tag.get(tag, np.zeros(0, dtype=np.intp))
+        src, dst = table.src[group], table.dst[group]
+        rows, cols = _positions(template.row_ids, src), _positions(template.col_ids, dst)
+        outside = np.flatnonzero((rows < 0) | (cols < 0))
+        if outside.size:
+            k = outside[0]
+            raise OutOfShapeError(f"{tag}: record ({src[k]},{dst[k]}) falls outside the matrix ids")
+        keep = ~((src == dst) & template.is_intra)
+        if not keep.all():
+            dropped[tag] = int((~keep).sum())
+        grid = np.zeros(template.shape)
+        grid[rows[keep], cols[keep]] = table.trust[group][keep]
         matrices[tag] = TrustMatrix(rows=template.rows, cols=template.cols,
                                     row_ids=template.row_ids, col_ids=template.col_ids,
-                                    values=normalized)
+                                    values=_normalize_rows(grid))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)
     return matrices, report
 
 
 def trust_network_from_tags(matrices: Mapping[str, TrustMatrix]) -> TrustNetwork:
-    intra = {}
-    inter = {}
-    for tag, matrix in matrices.items():
-        rows, cols = _TAG_LAYERS[tag]
-        if rows is cols:
-            intra[rows] = matrix
-        else:
-            inter[(rows, cols)] = matrix
-    return TrustNetwork(intra=intra, inter=inter)
+    return TrustNetwork(intra={m.rows: m for m in matrices.values() if m.is_intra},
+                        inter={(m.rows, m.cols): m for m in matrices.values() if not m.is_intra})
 
 
 def stress_compare(true_scores: Mapping[LayerId, LayerScores],
@@ -267,8 +262,10 @@ class StressRun:
     seed: int
     reports: list[MetricsReport]
     rebuild: RebuildReport
-    #: (tag, src, dst, true trust, synthetic trust) for scatter plots
-    pairs: list[tuple[str, str, str, float, float]]
+    #: the exported table every run starts from, shared by all runs
+    edges: EdgeTable
+    #: this run's regenerated table, row-aligned with ``edges``
+    synthetic: EdgeTable
     scores: dict[LayerId, LayerScores]
 
 
@@ -298,8 +295,6 @@ def run_stress(
                                      damping, department_feed)
         reports = stress_compare(true_scores, synth_scores, ks,
                                  scenario=f"{generator.method.value}/seed={seed}")
-        pairs = [(t.layer_tag, t.src, t.dst, t.trust, s.trust)
-                 for t, s in zip(table, synth_table)]
         runs.append(StressRun(seed=seed, reports=reports, rebuild=rebuild_report,
-                              pairs=pairs, scores=synth_scores))
+                              edges=table, synthetic=synth_table, scores=synth_scores))
     return runs

@@ -141,6 +141,11 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     lambda c: c.update(damping=True),
     lambda c: c["evaluation"]["ks"].update(hospital=[True]),
     lambda c: c["stress"].update(seeds=[True]),
+    lambda c: c["convergence"].update(max_iterations=2.5),
+    lambda c: c["convergence"].update(max_iterations=True),
+    lambda c: c["convergence"].update(epsilon=True),
+    lambda c: c["residual"]["hospital"].update(seed=True),
+    lambda c: c["stress"].update(concentration=True),
 ])
 def test_invalid_config_exits_three(tmp_path, out, mutate):
     config = json.loads((DEMO / "config.json").read_text())

@@ -74,6 +74,12 @@ def test_trust_matrix_violations_flags_bad_rows():
     assert any("negative" in p for p in problems)
     assert any("above 1" in p for p in problems)
 
+    for value in (np.nan, np.inf):
+        broken = TrustMatrix(rows=LayerId.DEPARTMENT, cols=LayerId.DOCTOR,
+                             row_ids=("D1",), col_ids=("P1", "P2"),
+                             values=np.array([[value, 0.5]]))
+        assert any("non-finite" in p and "P1" in p for p in broken.violations()), value
+
 
 def test_trust_matrix_flags_nonzero_intra_diagonal():
     matrix = TrustMatrix(rows=LayerId.DOCTOR, cols=LayerId.DOCTOR,
@@ -110,3 +116,21 @@ def test_validate_network_reports_asymmetry(demo_network):
     patched = type(demo_network)(graphs=demo_network.graphs, intra=intra,
                                  inter=demo_network.inter, provenance={})
     assert any("symmetric" in problem for problem in validate_network(patched))
+
+
+def test_validate_network_reports_non_finite_weights(demo_network):
+    def patched(block, value):
+        weights = block.weights.copy()
+        weights[0, 1] = value
+        return AdjacencyBlock(rows=block.rows, cols=block.cols,
+                              row_ids=block.row_ids, col_ids=block.col_ids, weights=weights)
+
+    pair = (LayerId.DEPARTMENT, LayerId.DOCTOR)
+    intra, inter = dict(demo_network.intra), dict(demo_network.inter)
+    intra[LayerId.DOCTOR] = patched(intra[LayerId.DOCTOR], np.inf)
+    inter[pair] = patched(inter[pair], np.nan)
+    network = type(demo_network)(graphs=demo_network.graphs, intra=intra, inter=inter,
+                                 provenance={})
+    problems = validate_network(network)
+    assert any(p.startswith("doctor intra block: non-finite weight inf") for p in problems)
+    assert any(p.startswith("departmentxdoctor block: non-finite weight nan") for p in problems)

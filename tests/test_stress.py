@@ -5,7 +5,7 @@ import pytest
 
 from trustprop import (
     ConvergenceConfig,
-    EdgeRecord,
+    EdgeTable,
     GeneratorConfig,
     GeneratorMethod,
     LayerId,
@@ -39,36 +39,46 @@ def demo_scores(demo_network, demo_trust, **kwargs):
     return score_network(demo_trust, residuals, **kwargs)
 
 
-def test_edge_record_validation():
-    EdgeRecord(layer_tag="hd", src="H1", dst="D1", trust=0.5)
+def edges(*rows: tuple[str, str, str, float]) -> EdgeTable:
+    return EdgeTable(*zip(*rows))
+
+
+def test_edge_table_validation():
+    table = edges(("hd", "H1", "D1", 0.5), ("h", "H1", "H2", 0.0))
+    assert len(table) == 2 and table.trust.dtype == np.float64
+    with pytest.raises(ValueError):
+        table.trust[0] = 0.9  # columns are read-only
     with pytest.raises(InputError):
-        EdgeRecord(layer_tag="hp", src="H1", dst="P1", trust=0.5)
+        edges(("hp", "H1", "P1", 0.5))
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            edges(("h", "H1", "H2", bad))
     with pytest.raises(InputError):
-        EdgeRecord(layer_tag="h", src="H1", dst="H2", trust=0.0)
-    with pytest.raises(InputError):
-        EdgeRecord(layer_tag="h", src="H1", dst="H2", trust=-0.1)
+        EdgeTable(["h", "h"], ["H1", "H2"], ["H2", "H1"], [0.5])
 
 
 def test_export_covers_all_nonzero_cells(demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
     assert len(table) == 68
     by_tag = {}
-    for rec in table:
-        by_tag[rec.layer_tag] = by_tag.get(rec.layer_tag, 0) + 1
+    for tag in table.tag:
+        by_tag[tag] = by_tag.get(tag, 0) + 1
     assert by_tag == {"h": 12, "d": 6, "p": 18, "hd": 8, "dh": 8, "dp": 8, "pd": 8}
-    assert all(rec.trust > 0 for rec in table)
+    assert (table.trust > 0).all()
 
 
 def test_edge_table_csv_round_trip(tmp_path, demo_trust):
-    table = export_edge_table(demo_trust.all_matrices())
-    path = tmp_path / "edges.csv"
-    write_edge_table(table, path)
-    assert path.read_text(encoding="utf-8").startswith("# schema: trust-edges/1\n")
-    again = read_edge_table(path)
-    assert len(again) == len(table)
-    for a, b in zip(table, again):
-        assert (a.layer_tag, a.src, a.dst) == (b.layer_tag, b.src, b.dst)
-        assert b.trust == pytest.approx(a.trust, abs=1e-12)
+    hostile = edges(("h", "H,1", 'H"2', 0.25), ("pd", "Dr. Müller", "Kardiologie, Nord", 0.5),
+                    ("dh", '"D1"', "H\n3", 0.125))
+    for table in (export_edge_table(demo_trust.all_matrices()), hostile):
+        path = tmp_path / "edges.csv"
+        write_edge_table(table, path)
+        assert path.read_text(encoding="utf-8").startswith("# schema: trust-edges/1\n")
+        again = read_edge_table(path)
+        assert len(again) == len(table)
+        for column in ("tag", "src", "dst"):
+            assert getattr(again, column).tolist() == getattr(table, column).tolist()
+        assert again.trust == pytest.approx(table.trust.tolist(), abs=1e-12)
 
 
 def test_read_rejects_wrong_schema(tmp_path):
@@ -80,21 +90,23 @@ def test_read_rejects_wrong_schema(tmp_path):
 
 def test_read_rejects_malformed_row(tmp_path):
     path = tmp_path / "edges.csv"
-    path.write_text("# schema: trust-edges/1\nlayer,src,dst,trust\nh,H1,H2,not-a-number\n",
-                    encoding="utf-8")
-    with pytest.raises(MalformedRowError):
-        read_edge_table(path)
+    # an edges.csv value is an exported positive cell: zero is malformed there
+    for row in ("h,H1,H2,not-a-number", "h,H1,H2,0", "h,H1,H2,-0.1", "h,H1,H2,nan",
+                "h,H1,H2,inf", "hp,H1,P1,0.5", "h,H,1,H2,0.5"):
+        path.write_text(f"# schema: trust-edges/1\nlayer,src,dst,trust\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedRowError):
+            read_edge_table(path)
 
 
 def test_identity_generator_copies(demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
     synth = generate_synthetic(table, GeneratorConfig(method=GeneratorMethod.IDENTITY))
-    assert [rec.trust for rec in synth] == [rec.trust for rec in table]
+    assert synth.trust.tolist() == table.trust.tolist()
 
 
 def test_generate_from_empty_table_rejected():
     with pytest.raises(EmptyTableError):
-        generate_synthetic([], GeneratorConfig())
+        generate_synthetic(EdgeTable([], [], [], []), GeneratorConfig())
 
 
 def test_dirichlet_rows_remain_distributions(demo_trust):
@@ -102,24 +114,23 @@ def test_dirichlet_rows_remain_distributions(demo_trust):
     config = GeneratorConfig(method=GeneratorMethod.DIRICHLET, concentration=50.0, seed=9)
     synth = generate_synthetic(table, config)
     rows: dict[tuple[str, str], float] = {}
-    for rec in synth:
-        rows[(rec.layer_tag, rec.src)] = rows.get((rec.layer_tag, rec.src), 0.0) + rec.trust
+    for tag, src, value in zip(synth.tag, synth.src, synth.trust):
+        rows[(tag, src)] = rows.get((tag, src), 0.0) + value
     for key, total in rows.items():
         assert total == pytest.approx(1.0, abs=1e-9), key
     # same seed, same draw; different seed, different draw
     again = generate_synthetic(table, config)
-    assert [r.trust for r in again] == [r.trust for r in synth]
+    assert again.trust.tolist() == synth.trust.tolist()
     other = generate_synthetic(table, GeneratorConfig(method=GeneratorMethod.DIRICHLET,
                                                       concentration=50.0, seed=10))
-    assert any(a.trust != b.trust for a, b in zip(synth, other))
+    assert (other.trust != synth.trust).any()
 
 
 def test_high_concentration_hugs_original(demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
     config = GeneratorConfig(method=GeneratorMethod.DIRICHLET, concentration=1e8, seed=1)
     synth = generate_synthetic(table, config)
-    for a, b in zip(table, synth):
-        assert b.trust == pytest.approx(a.trust, abs=1e-2)
+    assert synth.trust == pytest.approx(table.trust.tolist(), abs=1e-2)
 
 
 def test_bootstrap_resamples_within_tag(demo_trust):
@@ -127,10 +138,31 @@ def test_bootstrap_resamples_within_tag(demo_trust):
     config = GeneratorConfig(method=GeneratorMethod.BOOTSTRAP, seed=3)
     synth = generate_synthetic(table, config)
     originals: dict[str, set[float]] = {}
-    for rec in table:
-        originals.setdefault(rec.layer_tag, set()).add(rec.trust)
-    for rec in synth:
-        assert rec.trust in originals[rec.layer_tag]
+    for tag, value in zip(table.tag, table.trust.tolist()):
+        originals.setdefault(tag, set()).add(value)
+    for tag, value in zip(synth.tag, synth.trust.tolist()):
+        assert value in originals[tag]
+
+
+def test_generators_match_per_row_loop(demo_trust):
+    # shuffled, so that no (tag, src) row or tag is contiguous in the table
+    exported = export_edge_table(demo_trust.all_matrices())
+    order = np.random.default_rng(0).permutation(len(exported))
+    table = EdgeTable(*(getattr(exported, c)[order] for c in ("tag", "src", "dst", "trust")))
+    for method, key in ((GeneratorMethod.DIRICHLET, lambda i: (table.tag[i], table.src[i])),
+                        (GeneratorMethod.BOOTSTRAP, lambda i: table.tag[i])):
+        groups: dict = {}
+        for i in range(len(table)):
+            groups.setdefault(key(i), []).append(i)
+        rng = np.random.default_rng(4)
+        expected = np.empty(len(table))
+        for indices in groups.values():
+            values = table.trust[indices]
+            expected[indices] = (rng.dirichlet(50.0 * values)
+                                 if method is GeneratorMethod.DIRICHLET
+                                 else rng.choice(values, size=len(indices), replace=True))
+        config = GeneratorConfig(method=method, concentration=50.0, seed=4)
+        assert np.array_equal(generate_synthetic(table, config).trust, expected), method
 
 
 def test_rebuild_round_trip_identity(demo_trust):
@@ -143,8 +175,9 @@ def test_rebuild_round_trip_identity(demo_trust):
 
 def test_rebuild_drops_and_counts_diagonal_records(demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
-    table = table + [EdgeRecord(layer_tag="h", src="H1", dst="H1", trust=0.9),
-                     EdgeRecord(layer_tag="p", src="P2", dst="P2", trust=0.4)]
+    extra = edges(("h", "H1", "H1", 0.9), ("p", "P2", "P2", 0.4))
+    table = EdgeTable(*(np.concatenate([getattr(table, c), getattr(extra, c)])
+                        for c in ("tag", "src", "dst", "trust")))
     rebuilt, report = rebuild_trust(table, demo_trust.by_tag())
     assert report.dropped_diagonal == 2
     assert report.dropped_by_tag == {"h": 1, "p": 1}
@@ -155,7 +188,7 @@ def test_rebuild_drops_and_counts_diagonal_records(demo_trust):
 def test_rebuild_renormalizes_rows(demo_trust):
     # single surviving edge in a row gets the full trust mass
     shapes = demo_trust.by_tag()
-    table = [EdgeRecord(layer_tag="h", src="H1", dst="H2", trust=0.123)]
+    table = edges(("h", "H1", "H2", 0.123))
     rebuilt, _ = rebuild_trust(table, shapes)
     h = rebuilt["h"]
     assert h.values[0, 1] == 1.0
@@ -165,14 +198,14 @@ def test_rebuild_renormalizes_rows(demo_trust):
 def test_rebuild_rejects_unknown_ids(demo_trust):
     shapes = demo_trust.by_tag()
     with pytest.raises(OutOfShapeError):
-        rebuild_trust([EdgeRecord(layer_tag="h", src="H9", dst="H1", trust=0.5)], shapes)
+        rebuild_trust(edges(("h", "H9", "H1", 0.5)), shapes)
     with pytest.raises(OutOfShapeError):
-        rebuild_trust([EdgeRecord(layer_tag="dh", src="D1", dst="H9", trust=0.5)], shapes)
+        rebuild_trust(edges(("dh", "D1", "H9", 0.5)), shapes)
 
 
 def test_rebuild_rejects_missing_shape():
     with pytest.raises(OutOfShapeError):
-        rebuild_trust([EdgeRecord(layer_tag="h", src="H1", dst="H2", trust=0.5)], {})
+        rebuild_trust(edges(("h", "H1", "H2", 0.5)), {})
 
 
 def test_stress_compare_identical_scores(demo_network, demo_trust):
@@ -191,7 +224,7 @@ def test_run_stress_identity_reproduces_scores(demo_network, demo_trust):
                       seeds=[5])
     assert len(runs) == 1
     run = runs[0]
-    assert run.seed == 5 and len(run.pairs) == 68
+    assert run.seed == 5 and len(run.edges) == len(run.synthetic) == 68
     for layer in LayerId:
         assert run.scores[layer].result.scores.values == pytest.approx(
             true_scores[layer].result.scores.values.tolist(), abs=1e-12)
@@ -204,11 +237,26 @@ def test_run_stress_deterministic_per_seed(demo_network, demo_trust):
     a = run_stress(demo_trust, true_scores, config, seeds=[7, 8])
     b = run_stress(demo_trust, true_scores, config, seeds=[7, 8])
     assert len(a) == len(b) == 2
+    assert a[0].edges is a[1].edges  # one exported table shared by every run
     for run_a, run_b in zip(a, b):
-        assert run_a.pairs == run_b.pairs
+        for column in ("tag", "src", "dst"):
+            assert (getattr(run_a.synthetic, column) == getattr(run_a.edges, column)).all()
+        assert run_a.synthetic.trust.tolist() == run_b.synthetic.trust.tolist()
         for layer in LayerId:
             assert (run_a.scores[layer].result.scores.values
                     == run_b.scores[layer].result.scores.values).all()
     # distinct seeds produce distinct synthetic tables
-    assert a[0].pairs != a[1].pairs
+    assert (a[0].synthetic.trust != a[1].synthetic.trust).any()
     assert a[0].reports[0].scenario == "dirichlet/seed=7"
+
+
+def test_run_stress_tolerates_zero_dirichlet_draws(demo_network, demo_trust):
+    # at tiny concentrations draws underflow to exact zeros, which rebuild as absent cells
+    true_scores = demo_scores(demo_network, demo_trust)
+    config = GeneratorConfig(method=GeneratorMethod.DIRICHLET, concentration=0.01)
+    runs = run_stress(demo_trust, true_scores, config, seeds=[1, 2, 3])
+    assert any((run.synthetic.trust == 0).any() for run in runs)
+    for run in runs:
+        rebuilt, _ = rebuild_trust(run.synthetic, demo_trust.by_tag())
+        for matrix in rebuilt.values():
+            assert matrix.violations() == [], matrix.tag
