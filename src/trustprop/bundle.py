@@ -2,18 +2,21 @@
 
 JSON artifacts carry a ``schema_version`` key; CSV artifacts carry a first-line
 comment ``# schema: <name>/<version>``. Loaders refuse versions they do not
-understand instead of guessing.
+understand instead of guessing. Every artifact is written to a temporary file
+and then moved into place, so a failed write never leaves a half-written one.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import SchemaVersionError
+from .errors import InputError, SchemaVersionError
 from .metrics import MetricsReport
 from .model import (
     INTER_LAYER_PAIRS,
@@ -22,13 +25,12 @@ from .model import (
     LayerGraph,
     LayerId,
     MultiLayerNetwork,
-    TrustMatrix,
 )
 from .scoring import LayerScores
-from .stress import StressRun
+from .stress import EdgeTable, StressRun
 from .trust import TrustNetwork
 
-NETWORK_SCHEMA = 1
+NETWORK_SCHEMA = 2
 TRUST_SCHEMA = 1
 METRICS_SCHEMA = 1
 STRESS_SCHEMA = 1
@@ -40,47 +42,60 @@ PAIRS_CSV_SCHEMA = "stress-pairs/1"
 REPORT_SCHEMA = 1
 
 
-def _check_json_schema(data: Mapping, expected: int, path, kind: str) -> None:
-    version = data.get("schema_version")
+def _check_json_schema(data, expected: int, path, kind: str) -> None:
+    version = data.get("schema_version") if isinstance(data, dict) else None
     if version != expected:
         raise SchemaVersionError(
             f"{path}: {kind} schema version {version!r} is not supported (expected {expected})")
 
 
-def _write_json(data: dict, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+@contextmanager
+def _open_artifact(path) -> Iterator[TextIO]:
+    """Write to a temporary file beside ``path``, renamed onto it only when the block succeeds."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "x", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def write_json(data: dict, path) -> None:
+    with _open_artifact(path) as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _read_json(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+_CELL_KEYS = ("row", "col", "weight")
 
 
 def _block_payload(block: AdjacencyBlock) -> dict:
-    return {
-        "rows": block.rows.value,
-        "cols": block.cols.value,
-        "row_ids": list(block.row_ids),
-        "col_ids": list(block.col_ids),
-        "weights": block.weights.tolist(),
-    }
+    """Every nonzero cell of the block, row-major, as three parallel lists."""
+    row, col = np.nonzero(block.weights)
+    return dict(zip(_CELL_KEYS, (row.tolist(), col.tolist(), block.weights[row, col].tolist())))
 
 
-def _block_from_payload(payload: Mapping) -> AdjacencyBlock:
-    return AdjacencyBlock(
-        rows=LayerId(payload["rows"]),
-        cols=LayerId(payload["cols"]),
-        row_ids=tuple(payload["row_ids"]),
-        col_ids=tuple(payload["col_ids"]),
-        weights=np.asarray(payload["weights"], dtype=float).reshape(
-            len(payload["row_ids"]), len(payload["col_ids"])),
-    )
+def _block_from_payload(payload: Mapping, rows: LayerGraph, cols: LayerGraph) -> AdjacencyBlock:
+    name = f"{rows.layer.value}x{cols.layer.value}"
+    row, col, weight = (np.asarray(payload[key]) for key in _CELL_KEYS)
+    if not (row.ndim == col.ndim == weight.ndim == 1 and len(row) == len(col) == len(weight)):
+        raise InputError(f"{name} block: row, col and weight must be lists of equal length")
+    for index, graph in ((row, rows), (col, cols)):
+        if index.size and not (index.dtype.kind in "iu" and 0 <= index.min() <= index.max() < len(graph)):
+            raise InputError(f"{name} block: a cell index is not a {graph.layer.value} node index")
+    if weight.size and weight.dtype.kind not in "iuf":
+        raise InputError(f"{name} block: a weight is not a number")
+    weights = np.zeros((len(rows), len(cols)))
+    weights[row.astype(np.intp), col.astype(np.intp)] = weight
+    return AdjacencyBlock(rows=rows.layer, cols=cols.layer, row_ids=rows.node_ids,
+                          col_ids=cols.node_ids, weights=weights)
 
 
 def save_network(network: MultiLayerNetwork, path) -> None:
+    """Write each layer's ids and attributes once, and each block as its nonzero cells."""
     data = {
         "schema_version": NETWORK_SCHEMA,
         "layers": {
@@ -97,27 +112,32 @@ def save_network(network: MultiLayerNetwork, path) -> None:
         },
         "provenance": network.provenance,
     }
-    _write_json(data, path)
+    write_json(data, path)
 
 
 def load_network(path) -> MultiLayerNetwork:
-    data = _read_json(path)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
     _check_json_schema(data, NETWORK_SCHEMA, path, "network bundle")
-    graphs = {}
-    for name, payload in data["layers"].items():
-        layer = LayerId(name)
-        graphs[layer] = LayerGraph(
-            layer=layer,
-            node_ids=tuple(payload["node_ids"]),
-            attributes=tuple(frozenset(a) for a in payload["attributes"]),
-        )
-    intra = {LayerId(name): _block_from_payload(p) for name, p in data["intra"].items()}
-    inter = {}
-    for key, payload in data["inter"].items():
-        rows, cols = key.split(":")
-        inter[(LayerId(rows), LayerId(cols))] = _block_from_payload(payload)
-    return MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter,
-                             provenance=data.get("provenance", {}))
+    try:
+        layers = data["layers"]
+        graphs = {layer: LayerGraph(layer, tuple(layers[layer.value]["node_ids"]),
+                                    tuple(map(frozenset, layers[layer.value]["attributes"])))
+                  for layer in LAYERS}
+        intra = {layer: _block_from_payload(data["intra"][layer.value], graphs[layer], graphs[layer])
+                 for layer in LAYERS}
+        inter = {(rows, cols): _block_from_payload(data["inter"][f"{rows.value}:{cols.value}"],
+                                                   graphs[rows], graphs[cols])
+                 for rows, cols in INTER_LAYER_PAIRS}
+        return MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter,
+                                 provenance=data.get("provenance", {}))
+    except KeyError as exc:
+        raise InputError(f"{path}: network bundle lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed network bundle: {exc}") from None
 
 
 def save_trust(trusts: TrustNetwork, path) -> None:
@@ -134,32 +154,15 @@ def save_trust(trusts: TrustNetwork, path) -> None:
             for tag, m in trusts.by_tag().items()
         },
     }
-    _write_json(data, path)
+    write_json(data, path)
 
 
-def load_trust(path) -> TrustNetwork:
-    from .stress import trust_network_from_tags
-
-    data = _read_json(path)
-    _check_json_schema(data, TRUST_SCHEMA, path, "trust bundle")
-    matrices = {}
-    for tag, payload in data["matrices"].items():
-        matrices[tag] = TrustMatrix(
-            rows=LayerId(payload["rows"]),
-            cols=LayerId(payload["cols"]),
-            row_ids=tuple(payload["row_ids"]),
-            col_ids=tuple(payload["col_ids"]),
-            values=np.asarray(payload["values"], dtype=float).reshape(
-                len(payload["row_ids"]), len(payload["col_ids"])),
-        )
-    return trust_network_from_tags(matrices)
-
-
-def _open_csv(path, schema: str):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    handle = open(path, "w", encoding="utf-8", newline="")
-    handle.write(f"# schema: {schema}\n")
-    return handle
+@contextmanager
+def open_csv(path, schema: str) -> Iterator[TextIO]:
+    """Open an artifact for writing, as ``write_json`` does, and write its ``# schema:`` line."""
+    with _open_artifact(path) as handle:
+        handle.write(f"# schema: {schema}\n")
+        yield handle
 
 
 def check_csv_schema(path, expected: str) -> None:
@@ -175,7 +178,7 @@ def _fmt(value: float) -> str:
 
 
 def write_scores_csv(layer: LayerId, scores: LayerScores, path) -> None:
-    with _open_csv(path, SCORES_CSV_SCHEMA) as handle:
+    with open_csv(path, SCORES_CSV_SCHEMA) as handle:
         writer = csv.writer(handle)
         writer.writerow(["entity_id", "residual", "initial", "final", "iterations", "converged"])
         result = scores.result
@@ -202,30 +205,28 @@ def read_scores_csv(path) -> dict[str, float]:
 
 
 def write_convergence_csv(layer: LayerId, scores: LayerScores, path) -> None:
-    with _open_csv(path, TRACE_CSV_SCHEMA) as handle:
+    with open_csv(path, TRACE_CSV_SCHEMA) as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "delta"])
         for i, delta in enumerate(scores.result.deltas, start=1):
             writer.writerow([str(i), _fmt(delta)])
 
 
-def write_trust_values_csv(trusts: TrustNetwork, path) -> None:
-    """Positive trust values per matrix tag, ready for histograms."""
-    from .trust import nonzero_trust_values
-
-    with _open_csv(path, TRUST_VALUES_CSV_SCHEMA) as handle:
+def write_trust_values_csv(table: EdgeTable, path) -> None:
+    """The trust values of an exported edge table, ready for histograms:
+    grouped by matrix tag in tag order, row-major within a tag."""
+    order = np.argsort(table.tag, kind="stable")
+    with open_csv(path, TRUST_VALUES_CSV_SCHEMA) as handle:
         writer = csv.writer(handle)
         writer.writerow(["layer", "value"])
-        for tag, matrix in sorted(trusts.by_tag().items()):
-            for value in nonzero_trust_values(matrix):
-                writer.writerow([tag, _fmt(value)])
+        writer.writerows(zip(table.tag[order], map(_fmt, table.trust[order].tolist())))
 
 
 _METRIC_FIELDS = ("precision", "recall", "f1", "spearman", "kendall", "rmse", "mae")
 
 
 def write_metrics_csv(reports: Sequence[MetricsReport], path) -> None:
-    with _open_csv(path, METRICS_CSV_SCHEMA) as handle:
+    with open_csv(path, METRICS_CSV_SCHEMA) as handle:
         writer = csv.writer(handle)
         writer.writerow(["layer", "baseline", "scenario", "k", "sample_size", *_METRIC_FIELDS])
         for report in reports:
@@ -238,14 +239,14 @@ def write_metrics_csv(reports: Sequence[MetricsReport], path) -> None:
 
 
 def write_metrics_json(reports: Sequence[MetricsReport], path) -> None:
-    _write_json({
+    write_json({
         "schema_version": METRICS_SCHEMA,
         "reports": [r.as_dict() for r in reports],
     }, path)
 
 
 def write_stress_json(runs: Sequence[StressRun], generator: str, path) -> None:
-    _write_json({
+    write_json({
         "schema_version": STRESS_SCHEMA,
         "generator": generator,
         "runs": [
@@ -263,7 +264,7 @@ def write_stress_json(runs: Sequence[StressRun], generator: str, path) -> None:
 
 def write_stress_pairs_csv(runs: Sequence[StressRun], path) -> None:
     """(true, synthetic) trust pairs per edge and seed, for scatter plots."""
-    with _open_csv(path, PAIRS_CSV_SCHEMA) as handle:
+    with open_csv(path, PAIRS_CSV_SCHEMA) as handle:
         writer = csv.writer(handle)
         writer.writerow(["seed", "layer", "src", "dst", "true_trust", "synthetic_trust"])
         for run in runs:

@@ -49,6 +49,8 @@ _LAYER_INDEX = {layer: i for i, layer in enumerate(LAYERS)}
 
 
 def _expect_keys(mapping: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context}: must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(sorted(unknown))}")
@@ -78,9 +80,12 @@ class RunConfig:
         missing = {"doctors", "hospitals", "departments"} - set(inputs)
         if missing:
             raise ConfigError(f"config.inputs: missing {', '.join(sorted(missing))}")
+        out_dir = raw.get("out_dir", "out")
+        if not all(isinstance(v, str) for v in (*inputs.values(), out_dir)):
+            raise ConfigError("config.inputs and config.out_dir: paths must be strings")
         self.inputs = {k: (config_dir / v) for k, v in inputs.items()}
 
-        self.out_dir = Path(out_override) if out_override else config_dir / raw.get("out_dir", "out")
+        self.out_dir = Path(out_override) if out_override else config_dir / out_dir
 
         mode = raw.get("similarity_mode", "intersection_count")
         try:
@@ -138,6 +143,8 @@ class RunConfig:
                 raise ConfigError(f"config.evaluation.ks.{layer.value}: must be a list of ints >= 1")
             self.ks[layer] = ks
         scenarios = evaluation.get("scenarios", ["uniform", "normal", "skewed"])
+        if not isinstance(scenarios, list) or not all(isinstance(s, str) for s in scenarios):
+            raise ConfigError("config.evaluation.scenarios: must be a list of strings")
         unknown = set(scenarios) - set(SCENARIO_FAMILIES)
         if unknown:
             raise ConfigError(f"config.evaluation.scenarios: unknown {', '.join(sorted(unknown))}")
@@ -211,9 +218,10 @@ def cmd_build(config: RunConfig) -> int:
 def cmd_trust(config: RunConfig) -> int:
     network = _load_network(config)
     trusts = derive_network_trust(network)
+    table = export_edge_table(trusts.all_matrices())
     bundle.save_trust(trusts, config.out_dir / "trust.json")
-    bundle.write_trust_values_csv(trusts, config.out_dir / "trust_values.csv")
-    write_edge_table(export_edge_table(trusts.all_matrices()), config.out_dir / "edges.csv")
+    bundle.write_trust_values_csv(table, config.out_dir / "trust_values.csv")
+    write_edge_table(table, config.out_dir / "edges.csv")
     log.info("wrote trust bundle, value histogram data, and edge table to %s", config.out_dir)
     return 0
 
@@ -326,10 +334,7 @@ def cmd_report(config: RunConfig) -> int:
         scores_summary[layer.value] = {"entities": len(finals), "top": top}
     if scores_summary:
         summary["scores"] = scores_summary
-    out_path = config.out_dir / "report.json"
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    bundle.write_json(summary, config.out_dir / "report.json")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

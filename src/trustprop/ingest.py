@@ -365,10 +365,6 @@ def like_pct_to_rating(like_pct: float) -> float:
     return like_pct / 20.0
 
 
-def doctor_rating(doc: DoctorRecord) -> float | None:
-    return None if doc.like_pct is None else like_pct_to_rating(doc.like_pct)
-
-
 def derive_department_rating(dept: DepartmentRecord, store: EntityStore) -> float:
     """Review-count-weighted mean rating of the department's rated members.
 

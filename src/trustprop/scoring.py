@@ -102,6 +102,8 @@ class ResidualConfig:
 
     @classmethod
     def from_mapping(cls, raw: Mapping, default_seed: int = 0) -> "ResidualConfig":
+        if not isinstance(raw, Mapping):
+            raise InvalidConfigError(f"residual config must be a mapping, got {raw!r}")
         data = dict(raw)
         kind = data.pop("distribution", None)
         try:

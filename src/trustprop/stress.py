@@ -126,8 +126,9 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
 def write_edge_table(table: EdgeTable, path) -> None:
     """Write the table as CSV with 12 significant digits of trust; a field
     holding a comma, a quote or a line break is quoted."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# schema: {EDGE_TABLE_SCHEMA}\n")
+    from .bundle import open_csv
+
+    with open_csv(path, EDGE_TABLE_SCHEMA) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_EDGE_HEADER)
         writer.writerows(zip(table.tag, table.src, table.dst,

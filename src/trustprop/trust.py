@@ -62,13 +62,6 @@ def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
     )
 
 
-def nonzero_trust_values(matrix: TrustMatrix) -> np.ndarray:
-    """Strictly positive trust values in row-major order (histogram input;
-    zero cells are structural absences, not observations)."""
-    flat = matrix.values.ravel()
-    return flat[flat > 0].copy()
-
-
 @dataclass(frozen=True)
 class TrustNetwork:
     """All seven trust matrices of a built network.

@@ -5,52 +5,142 @@ import json
 import numpy as np
 import pytest
 
-from trustprop import LayerId
+from test_builder import random_store
+from trustprop import LayerId, build_network
+from trustprop.builder import SimilarityMode
 from trustprop.bundle import (
     check_csv_schema,
     load_network,
-    load_trust,
+    open_csv,
     read_scores_csv,
     save_network,
     save_trust,
+    write_json,
     write_scores_csv,
     write_trust_values_csv,
 )
-from trustprop.errors import SchemaVersionError
-from trustprop.ingest import ground_truth_ratings
+from trustprop.errors import InputError, SchemaVersionError
+from trustprop.ingest import EntityStore, ground_truth_ratings
 from trustprop.scoring import ConvergenceConfig, ResidualConfig, generate_residual, score_network
+from trustprop.stress import export_edge_table
+
+
+def bundle_networks(demo_network):
+    rng = np.random.default_rng(17)
+    stores = [random_store(rng, n_hospitals=5, n_departments=6, n_doctors=9) for _ in range(5)]
+    return ([demo_network, build_network(EntityStore({}, {}, {}))]
+            + [build_network(store, mode) for store in stores for mode in SimilarityMode])
+
+
+def blocks(network):
+    return {**{layer.value: network.intra[layer] for layer in LayerId},
+            **{f"{rows.value}:{cols.value}": block
+               for (rows, cols), block in network.inter.items()}}
+
+
+def same_block(a, b):
+    return ((a.rows, a.cols, a.row_ids, a.col_ids) == (b.rows, b.cols, b.row_ids, b.col_ids)
+            and np.array_equal(a.weights, b.weights))
 
 
 def test_network_bundle_round_trip(tmp_path, demo_network):
     path = tmp_path / "network.json"
-    save_network(demo_network, path)
-    again = load_network(path)
-    for layer in LayerId:
-        assert again.node_ids(layer) == demo_network.node_ids(layer)
-        assert (again.intra[layer].weights == demo_network.intra[layer].weights).all()
-        assert again.graphs[layer].attributes == demo_network.graphs[layer].attributes
-    for pair, block in demo_network.inter.items():
-        assert (again.inter[pair].weights == block.weights).all()
-    assert again.provenance == demo_network.provenance
+    for network in bundle_networks(demo_network):
+        save_network(network, path)
+        payload = json.loads(path.read_text())
+        stored = {**payload["intra"], **payload["inter"]}
+        for key, block in blocks(network).items():
+            # schema 2: the nonzero cells only, with no id lists of their own
+            assert set(stored[key]) == {"row", "col", "weight"}, key
+            assert {len(cells) for cells in stored[key].values()} == {
+                np.count_nonzero(block.weights)}, key
+        again = load_network(path)
+        for layer in LayerId:
+            assert again.node_ids(layer) == network.node_ids(layer)
+            assert again.graphs[layer].attributes == network.graphs[layer].attributes
+        assert blocks(again).keys() == blocks(network).keys()
+        for key, block in blocks(network).items():
+            assert same_block(blocks(again)[key], block), key
+        assert again.provenance == network.provenance
 
 
 def test_trust_bundle_round_trip(tmp_path, demo_trust):
     path = tmp_path / "trust.json"
     save_trust(demo_trust, path)
-    again = load_trust(path)
+    payload = json.loads(path.read_text())
+    assert payload["schema_version"] == 1
+    assert payload["matrices"].keys() == demo_trust.by_tag().keys()
     for tag, matrix in demo_trust.by_tag().items():
-        assert np.allclose(again.by_tag()[tag].values, matrix.values, atol=1e-15), tag
-        assert again.by_tag()[tag].row_ids == matrix.row_ids
+        stored = payload["matrices"][tag]
+        assert (stored["rows"], stored["cols"]) == (matrix.rows.value, matrix.cols.value), tag
+        assert (tuple(stored["row_ids"]), tuple(stored["col_ids"])) == (
+            matrix.row_ids, matrix.col_ids), tag
+        assert np.array_equal(np.asarray(stored["values"], dtype=float), matrix.values), tag
 
 
 def test_unknown_schema_version_rejected(tmp_path, demo_network):
     path = tmp_path / "network.json"
     save_network(demo_network, path)
     payload = json.loads(path.read_text())
-    payload["schema_version"] = 42
+    for version in (1, 42, None):
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaVersionError):
+            load_network(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.pop("layers"),
+    lambda p: p["layers"].pop("doctor"),
+    lambda p: p["layers"]["hospital"].pop("node_ids"),
+    lambda p: p["intra"].pop("department"),
+    lambda p: p["inter"].pop("hospital:department"),
+    lambda p: p["intra"]["doctor"].pop("weight"),
+    lambda p: p["intra"]["doctor"]["row"].pop(),
+    lambda p: p["inter"]["department:doctor"]["weight"].append(1.0),
+    lambda p: p["intra"]["hospital"].update(row=[0.5] * len(p["intra"]["hospital"]["row"])),
+    lambda p: p["intra"]["hospital"].update(col=[True] * len(p["intra"]["hospital"]["col"])),
+    lambda p: p["intra"]["hospital"]["col"].__setitem__(0, "1"),
+    lambda p: p["intra"]["hospital"]["row"].__setitem__(0, -1),
+    lambda p: p["intra"]["hospital"]["row"].__setitem__(0, 4),
+    lambda p: p["inter"]["hospital:department"]["col"].__setitem__(0, 4),
+    lambda p: p["inter"]["hospital:department"]["weight"].__setitem__(0, None),
+    lambda p: p["intra"].update(hospital=[]),
+    lambda p: p["layers"]["hospital"].update(node_ids=5),
+    lambda p: p["layers"]["hospital"].update(node_ids=["H1", "H1", "H2", "H3"]),
+])
+def test_malformed_network_bundle_rejected(tmp_path, demo_network, mutate):
+    path = tmp_path / "network.json"
+    save_network(demo_network, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
     path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaVersionError):
+    with pytest.raises(InputError):
         load_network(path)
+
+
+@pytest.mark.parametrize("text", ["", "{\"schema_version\": 2, \"lay", "[2]", "\"x\""])
+def test_unparseable_network_bundle_rejected(tmp_path, text):
+    path = tmp_path / "network.json"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        load_network(path)
+
+
+def test_failed_write_keeps_old_artifact(tmp_path):
+    json_path, csv_path = tmp_path / "report.json", tmp_path / "values.csv"
+    write_json({"old": True}, json_path)
+    with open_csv(csv_path, "test/1") as handle:
+        handle.write("old\n")
+    before = {path: path.read_bytes() for path in (json_path, csv_path)}
+    with pytest.raises(TypeError):
+        write_json({"new": True, "broken": object()}, json_path)
+    with pytest.raises(RuntimeError):
+        with open_csv(csv_path, "test/1") as handle:
+            handle.write("new\n" * 1000)
+            raise RuntimeError("writer failed partway")
+    assert {path: path.read_bytes() for path in (json_path, csv_path)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "values.csv"]
 
 
 def test_scores_csv_round_trip(tmp_path, demo_network, demo_trust):
@@ -71,7 +161,7 @@ def test_scores_csv_round_trip(tmp_path, demo_network, demo_trust):
 
 def test_csv_schema_check(tmp_path, demo_trust):
     path = tmp_path / "trust_values.csv"
-    write_trust_values_csv(demo_trust, path)
+    write_trust_values_csv(export_edge_table(demo_trust.all_matrices()), path)
     check_csv_schema(path, "trust-values/1")
     with pytest.raises(SchemaVersionError):
         check_csv_schema(path, "layer-scores/1")

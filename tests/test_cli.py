@@ -146,6 +146,14 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     lambda c: c["convergence"].update(epsilon=True),
     lambda c: c["residual"]["hospital"].update(seed=True),
     lambda c: c["stress"].update(concentration=True),
+    lambda c: c["evaluation"].update(scenarios=5),
+    lambda c: c["evaluation"].update(scenarios=[["uniform"]]),
+    lambda c: c["evaluation"].update(ks=3),
+    lambda c: c["residual"].update(hospital=[1]),
+    lambda c: c.update(convergence=[1]),
+    lambda c: c.update(stress=[1]),
+    lambda c: c["inputs"].update(doctors=5),
+    lambda c: c.update(out_dir=5),
 ])
 def test_invalid_config_exits_three(tmp_path, out, mutate):
     config = json.loads((DEMO / "config.json").read_text())
@@ -167,10 +175,10 @@ def test_unparseable_config_exits_three(tmp_path, out):
 def test_corrupt_bundle_schema_exits_two(out):
     run_pipeline(DEMO / "config.json", out, commands=("build",))
     bundle_path = out / "network.json"
-    payload = json.loads(bundle_path.read_text())
-    payload["schema_version"] = 99
-    bundle_path.write_text(json.dumps(payload))
-    assert main(["trust", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+    text = bundle_path.read_text()
+    for corrupt in (json.dumps({**json.loads(text), "schema_version": 99}), text[:3000]):
+        bundle_path.write_text(corrupt)
+        assert main(["trust", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
 
 
 def test_empty_store_builds_empty_bundle(tmp_path, out, caplog):

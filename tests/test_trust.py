@@ -5,7 +5,7 @@ import pytest
 
 from trustprop import AdjacencyBlock, LayerId, derive_reverse_trust, derive_trust
 from trustprop.errors import IntraLayerBlockError
-from trustprop.trust import nonzero_trust_values
+from trustprop.stress import export_edge_table
 
 
 def block_from(weights, rows=LayerId.HOSPITAL, cols=LayerId.DEPARTMENT):
@@ -64,13 +64,6 @@ def test_demo_trust_matrices_are_sound(demo_trust):
         assert matrix.violations() == [], matrix.tag
 
 
-def test_demo_nonzero_counts(demo_trust):
-    by_tag = demo_trust.by_tag()
-    counts = {tag: nonzero_trust_values(matrix).size for tag, matrix in by_tag.items()}
-    assert counts == {"h": 12, "d": 6, "p": 18, "hd": 8, "dh": 8, "dp": 8, "pd": 8}
-    assert sum(counts.values()) == 68
-
-
 def test_all_matrices_order(demo_trust):
     tags = [m.tag for m in demo_trust.all_matrices()]
     # intra in layer order, then inter sorted by (row layer, col layer) names
@@ -86,4 +79,4 @@ def test_matrix_lookup(demo_trust):
 
 def test_nonzero_values_row_major():
     trust = derive_trust(block_from(np.array([[0.0, 2.0], [3.0, 1.0]])))
-    assert nonzero_trust_values(trust).tolist() == [1.0, 0.75, 0.25]
+    assert export_edge_table([trust]).trust.tolist() == [1.0, 0.75, 0.25]
