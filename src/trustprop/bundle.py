@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InputError, SchemaVersionError
+from .errors import InputError, MalformedRowError, SchemaVersionError
 from .metrics import MetricsReport
 from .model import (
     INTER_LAYER_PAIRS,
@@ -25,6 +26,7 @@ from .model import (
     LayerGraph,
     LayerId,
     MultiLayerNetwork,
+    validate_network,
 )
 from .scoring import LayerScores
 from .stress import EdgeTable, StressRun
@@ -132,12 +134,16 @@ def load_network(path) -> MultiLayerNetwork:
         inter = {(rows, cols): _block_from_payload(data["inter"][f"{rows.value}:{cols.value}"],
                                                    graphs[rows], graphs[cols])
                  for rows, cols in INTER_LAYER_PAIRS}
-        return MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter,
-                                 provenance=data.get("provenance", {}))
+        network = MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter,
+                                    provenance=data.get("provenance", {}))
     except KeyError as exc:
         raise InputError(f"{path}: network bundle lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed network bundle: {exc}") from None
+    violations = validate_network(network)
+    if violations:
+        raise InputError(f"{path}: invalid network bundle: {violations[0]}")
+    return network
 
 
 def save_trust(trusts: TrustNetwork, path) -> None:
@@ -199,8 +205,17 @@ def read_scores_csv(path) -> dict[str, float]:
     out = {}
     with open(path, encoding="utf-8") as handle:
         handle.readline()
-        for row in csv.DictReader(handle):
-            out[row["entity_id"]] = float(row["final"])
+        reader = csv.DictReader(handle)
+        for row in reader:
+            ident, cell = row.get("entity_id"), row.get("final")
+            try:
+                final = float(cell)
+            except (TypeError, ValueError):
+                final = math.nan
+            if ident is None or not math.isfinite(final):
+                raise MalformedRowError(str(path), reader.line_num + 1,
+                                        f"expected an entity_id and a finite final score, got {cell!r}")
+            out[ident] = final
     return out
 
 

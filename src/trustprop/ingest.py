@@ -157,7 +157,10 @@ def _parse_bool(cell: str, path: str, line: int, what: str) -> bool:
     return _BOOL_WORDS[word]
 
 
-def _read_rows(path: Path, columns: tuple[str, ...]):
+def _read_rows(path: str, columns: tuple[str, ...]):
+    """Yield ``(line, id, cells)`` for each data row; ids must be non-empty,
+    unique in the file, and free of the ``;`` and ``:`` that membership cells
+    use as separators."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -173,12 +176,22 @@ def _read_rows(path: Path, columns: tuple[str, ...]):
         if missing:
             raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
         index = {c: header.index(c) for c in columns}
+        seen: set[str] = set()
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < len(header):
-                raise MalformedRowError(str(path), line, f"expected {len(header)} fields, got {len(row)}")
-            yield line, {c: row[index[c]] for c in columns}
+                raise MalformedRowError(path, line, f"expected {len(header)} fields, got {len(row)}")
+            ident = row[index["id"]].strip()
+            if not ident:
+                raise MalformedRowError(path, line, "id: must be non-empty")
+            if ";" in ident or ":" in ident:
+                raise MalformedRowError(path, line,
+                                        f"id: {ident!r} holds ';' or ':', which membership cells reserve")
+            if ident in seen:
+                raise MalformedRowError(path, line, f"id: duplicate id {ident!r}")
+            seen.add(ident)
+            yield line, ident, {c: row[index[c]] for c in columns}
 
 
 def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
@@ -188,65 +201,50 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
     a cleanable record); relational checks are clean()'s job.
     """
     store = EntityStore()
-    dpath = Path(doctors_path)
-    for line, cells in _read_rows(dpath, DOCTOR_COLUMNS):
-        ident = cells["id"].strip()
-        if not ident:
-            raise MalformedRowError(str(dpath), line, "id: must be non-empty")
-        if ident in store.doctors:
-            raise MalformedRowError(str(dpath), line, f"id: duplicate doctor id {ident!r}")
-        hospital_ids, _ = _parse_members(cells["hospital_ids"], str(dpath), line, "hospital_ids")
-        department_ids, _ = _parse_members(cells["department_ids"], str(dpath), line, "department_ids")
-        overall = _parse_float(cells["overall_experience_years"], str(dpath), line,
+    dpath = str(Path(doctors_path))
+    for line, ident, cells in _read_rows(dpath, DOCTOR_COLUMNS):
+        hospital_ids, _ = _parse_members(cells["hospital_ids"], dpath, line, "hospital_ids")
+        department_ids, _ = _parse_members(cells["department_ids"], dpath, line, "department_ids")
+        overall = _parse_float(cells["overall_experience_years"], dpath, line,
                                "overall_experience_years", lo=0.0)
-        specialist = _parse_float(cells["specialist_experience_years"], str(dpath), line,
+        specialist = _parse_float(cells["specialist_experience_years"], dpath, line,
                                   "specialist_experience_years", lo=0.0)
         if overall is not None and specialist is not None and specialist > overall:
-            raise MalformedRowError(str(dpath), line,
+            raise MalformedRowError(dpath, line,
                                     "specialist_experience_years exceeds overall_experience_years")
         store.doctors[ident] = DoctorRecord(
             id=ident,
             name=cells["name"].strip(),
             hospital_ids=hospital_ids,
             department_ids=department_ids,
-            qualification_score=_parse_float(cells["qualification_score"], str(dpath), line,
+            qualification_score=_parse_float(cells["qualification_score"], dpath, line,
                                              "qualification_score", lo=0.0),
             overall_experience_years=overall,
             specialist_experience_years=specialist,
-            like_pct=_parse_float(cells["like_pct"], str(dpath), line, "like_pct", lo=0.0, hi=100.0),
-            vote_count=_parse_count(cells["vote_count"], str(dpath), line, "vote_count"),
-            review_count=_parse_count(cells["review_count"], str(dpath), line, "review_count"),
-            verified=_parse_bool(cells["verified"], str(dpath), line, "verified"),
-            claimed=_parse_bool(cells["claimed"], str(dpath), line, "claimed"),
+            like_pct=_parse_float(cells["like_pct"], dpath, line, "like_pct", lo=0.0, hi=100.0),
+            vote_count=_parse_count(cells["vote_count"], dpath, line, "vote_count"),
+            review_count=_parse_count(cells["review_count"], dpath, line, "review_count"),
+            verified=_parse_bool(cells["verified"], dpath, line, "verified"),
+            claimed=_parse_bool(cells["claimed"], dpath, line, "claimed"),
         )
 
-    hpath = Path(hospitals_path)
-    for line, cells in _read_rows(hpath, HOSPITAL_COLUMNS):
-        ident = cells["id"].strip()
-        if not ident:
-            raise MalformedRowError(str(hpath), line, "id: must be non-empty")
-        if ident in store.hospitals:
-            raise MalformedRowError(str(hpath), line, f"id: duplicate hospital id {ident!r}")
-        department_ids, _ = _parse_members(cells["department_ids"], str(hpath), line, "department_ids")
+    hpath = str(Path(hospitals_path))
+    for line, ident, cells in _read_rows(hpath, HOSPITAL_COLUMNS):
+        department_ids, _ = _parse_members(cells["department_ids"], hpath, line, "department_ids")
         store.hospitals[ident] = HospitalRecord(
             id=ident,
             name=cells["name"].strip(),
-            rating=_parse_float(cells["rating"], str(hpath), line, "rating", lo=0.0, hi=RATING_SCALE),
-            stories_count=_parse_count(cells["stories_count"], str(hpath), line, "stories_count"),
+            rating=_parse_float(cells["rating"], hpath, line, "rating", lo=0.0, hi=RATING_SCALE),
+            stories_count=_parse_count(cells["stories_count"], hpath, line, "stories_count"),
             accreditation=cells["accreditation"].strip() or None,
             location_category=cells["location_category"].strip().lower() or None,
             department_ids=department_ids,
         )
 
-    ppath = Path(departments_path)
-    for line, cells in _read_rows(ppath, DEPARTMENT_COLUMNS):
-        ident = cells["id"].strip()
-        if not ident:
-            raise MalformedRowError(str(ppath), line, "id: must be non-empty")
-        if ident in store.departments:
-            raise MalformedRowError(str(ppath), line, f"id: duplicate department id {ident!r}")
-        doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], str(ppath), line, "doctor_ids")
-        hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], str(ppath), line, "hospital_ids")
+    ppath = str(Path(departments_path))
+    for line, ident, cells in _read_rows(ppath, DEPARTMENT_COLUMNS):
+        doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], ppath, line, "doctor_ids")
+        hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], ppath, line, "hospital_ids")
         store.departments[ident] = DepartmentRecord(
             id=ident,
             name=cells["name"].strip(),
@@ -262,96 +260,55 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
 
 # --- cleaning ---
 
-def _doctor_required_fields_ok(doc: DoctorRecord) -> bool:
-    return bool(doc.hospital_ids) and bool(doc.department_ids) \
-        and doc.qualification_score is not None and doc.overall_experience_years is not None
-
-
 def clean(store: EntityStore) -> EntityStore:
     """Return a new store with untrustworthy records removed and references repaired.
 
-    Removes doctors that are unclaimed, unverified, or missing required fields
-    (hospital and department memberships, qualification score, overall
-    experience); hospitals without a rating; departments left with no doctors.
-    Doctor<->department membership is symmetrized (union of both declarations)
-    and dangling ids are pruned. Runs to a fixed point, so the result is
-    idempotent under re-cleaning even when drops cascade.
+    Doctor<->department membership is first symmetrized (union of both
+    declarations). Hospitals are kept when they have a rating. Starting from
+    the verified, claimed doctors with a qualification score and overall
+    experience, two rules run until the kept doctors stop changing: a
+    department is kept when a kept doctor belongs to it, and a doctor is kept
+    when it lists a kept hospital and belongs to a kept department. Every kept
+    record is then rebuilt once with its dangling ids and weights pruned, so
+    the result is idempotent under re-cleaning even when drops cascade.
     """
-    doctors = dict(store.doctors)
-    hospitals = dict(store.hospitals)
-    departments = dict(store.departments)
-
-    # one-time symmetrization of the membership relation
-    member_of: dict[str, set[str]] = {p: set(doc.department_ids) for p, doc in doctors.items()}
-    for d, dept in departments.items():
-        for p in dept.doctor_ids:
-            if p in member_of:
-                member_of[p].add(d)
-    members: dict[str, set[str]] = {d: set() for d in departments}
+    member_of = {p: set(doc.department_ids) for p, doc in store.doctors.items()}
+    for d, dept in store.departments.items():
+        for p in member_of.keys() & dept.doctor_ids:
+            member_of[p].add(d)
+    members: dict[str, set[str]] = {d: set() for d in store.departments}
     for p, ds in member_of.items():
-        for d in ds:
-            if d in members:
-                members[d].add(p)
-    doctors = {
-        p: dataclasses.replace(doc, department_ids=frozenset(member_of[p]))
-        for p, doc in doctors.items()
-    }
-    departments = {
-        d: dataclasses.replace(dept, doctor_ids=dept.doctor_ids | members[d])
-        for d, dept in departments.items()
-    }
+        for d in members.keys() & ds:
+            members[d].add(p)
 
+    hospitals = {h for h, rec in store.hospitals.items() if rec.rating is not None}
+    doctors = {p for p, doc in store.doctors.items()
+               if doc.verified and doc.claimed and doc.qualification_score is not None
+               and doc.overall_experience_years is not None}
     while True:
-        doctors = {p: doc for p, doc in doctors.items()
-                   if doc.verified and doc.claimed and _doctor_required_fields_ok(doc)}
-        hospitals = {h: rec for h, rec in hospitals.items() if rec.rating is not None}
-        kept_doctors, kept_hospitals = set(doctors), set(hospitals)
-        departments = {d: dept for d, dept in departments.items()
-                       if dept.doctor_ids & kept_doctors}
-        kept_departments = set(departments)
-
-        changed = False
-        repaired_doctors = {}
-        for p, doc in doctors.items():
-            hs = doc.hospital_ids & kept_hospitals
-            ds = doc.department_ids & kept_departments
-            if hs != doc.hospital_ids or ds != doc.department_ids:
-                doc = dataclasses.replace(doc, hospital_ids=hs, department_ids=ds)
-                changed = True
-            repaired_doctors[p] = doc
-        repaired_hospitals = {}
-        for h, rec in hospitals.items():
-            ds = rec.department_ids & kept_departments
-            if ds != rec.department_ids:
-                rec = dataclasses.replace(rec, department_ids=ds)
-                changed = True
-            repaired_hospitals[h] = rec
-        repaired_departments = {}
-        for d, dept in departments.items():
-            ps = dept.doctor_ids & kept_doctors
-            hs = dept.hospital_ids & kept_hospitals
-            if ps != dept.doctor_ids or hs != dept.hospital_ids:
-                dept = dataclasses.replace(
-                    dept,
-                    doctor_ids=ps,
-                    hospital_ids=hs,
-                    doctor_weights={p: w for p, w in dept.doctor_weights.items() if p in ps},
-                    hospital_weights={h: w for h, w in dept.hospital_weights.items() if h in hs},
-                )
-                changed = True
-            repaired_departments[d] = dept
-
-        doctors, hospitals, departments = repaired_doctors, repaired_hospitals, repaired_departments
-        if not changed and all(_doctor_required_fields_ok(doc) for doc in doctors.values()) \
-                and all(dept.doctor_ids for dept in departments.values()):
+        departments = {d for d, ps in members.items() if not ps.isdisjoint(doctors)}
+        kept = {p for p in doctors if not store.doctors[p].hospital_ids.isdisjoint(hospitals)
+                and not member_of[p].isdisjoint(departments)}
+        if len(kept) == len(doctors):
             break
+        doctors = kept
 
-    out = EntityStore(
-        doctors={p: doctors[p] for p in sorted(doctors)},
-        hospitals={h: hospitals[h] for h in sorted(hospitals)},
-        departments={d: departments[d] for d in sorted(departments)},
-        provenance=dict(store.provenance),
-    )
+    out = EntityStore(provenance=dict(store.provenance))
+    for p in sorted(doctors):
+        doc = store.doctors[p]
+        out.doctors[p] = dataclasses.replace(doc, hospital_ids=doc.hospital_ids & hospitals,
+                                             department_ids=frozenset(member_of[p] & departments))
+    for h in sorted(hospitals):
+        rec = store.hospitals[h]
+        out.hospitals[h] = dataclasses.replace(rec, department_ids=rec.department_ids & departments)
+    for d in sorted(departments):
+        dept = store.departments[d]
+        ps, hs = frozenset(members[d] & doctors), dept.hospital_ids & hospitals
+        out.departments[d] = dataclasses.replace(
+            dept, doctor_ids=ps, hospital_ids=hs,
+            doctor_weights={p: w for p, w in dept.doctor_weights.items() if p in ps},
+            hospital_weights={h: w for h, w in dept.hospital_weights.items() if h in hs},
+        )
     out.provenance["filtered"] = out.counts()
     return out
 

@@ -108,6 +108,9 @@ def test_unknown_schema_version_rejected(tmp_path, demo_network):
     lambda p: p["intra"].update(hospital=[]),
     lambda p: p["layers"]["hospital"].update(node_ids=5),
     lambda p: p["layers"]["hospital"].update(node_ids=["H1", "H1", "H2", "H3"]),
+    lambda p: p["inter"]["department:doctor"]["weight"].__setitem__(0, float("nan")),
+    lambda p: p["inter"]["department:doctor"]["weight"].__setitem__(0, -5.0),
+    lambda p: p["intra"]["hospital"]["weight"].__setitem__(0, 99.0),
 ])
 def test_malformed_network_bundle_rejected(tmp_path, demo_network, mutate):
     path = tmp_path / "network.json"

@@ -172,13 +172,40 @@ def test_unparseable_config_exits_three(tmp_path, out):
     assert main(["build", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 3
 
 
+def _set_weights(text, *weights):
+    payload = json.loads(text)
+    payload["inter"]["department:doctor"]["weight"][:len(weights)] = weights
+    return json.dumps(payload)
+
+
 def test_corrupt_bundle_schema_exits_two(out):
     run_pipeline(DEMO / "config.json", out, commands=("build",))
     bundle_path = out / "network.json"
     text = bundle_path.read_text()
-    for corrupt in (json.dumps({**json.loads(text), "schema_version": 99}), text[:3000]):
+    for corrupt in (json.dumps({**json.loads(text), "schema_version": 99}), text[:3000],
+                    _set_weights(text, float("nan")), _set_weights(text, -5.0, 5.0)):
         bundle_path.write_text(corrupt)
-        assert main(["trust", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+        for command in ("trust", "score"):
+            assert main([command, "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+
+
+def _set_final(text, value):
+    lines = text.splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[3] = value
+    lines[2] = ",".join(cells)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: _set_final(t, "abc"),
+    lambda t: t.replace(",final,", ",fnal,", 1),
+])
+def test_corrupt_scores_file_exits_two(out, corrupt):
+    run_pipeline(DEMO / "config.json", out, commands=("build", "score"))
+    path = out / "scores_hospital.csv"
+    path.write_text(corrupt(path.read_text()))
+    assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
 
 
 def test_empty_store_builds_empty_bundle(tmp_path, out, caplog):

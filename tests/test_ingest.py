@@ -88,11 +88,27 @@ def test_malformed_row_reports_path_and_line(tmp_path):
     "P2,Doc,H1,D1,inf,10,5,80,50,20,true,true",    # infinite qualification
     "P2,Doc,H1,D1,nan,10,5,80,50,20,true,true",    # NaN qualification
     "P2,Doc,H1,D1,7,Infinity,5,80,50,20,true,true",  # infinite experience
+    "P;2,Doc,H1,D1,7,10,5,80,50,20,true,true",     # id holds the list separator
+    "P:2,Doc,H1,D1,7,10,5,80,50,20,true,true",     # id holds the weight separator
+    " ,Doc,H1,D1,7,10,5,80,50,20,true,true",       # blank id
 ])
 def test_bad_doctor_rows_rejected(tmp_path, row):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR, row],
                          hospitals=[GOOD_HOSPITAL], departments=[GOOD_DEPARTMENT])
     with pytest.raises(MalformedRowError):
+        parse(paths)
+
+
+@pytest.mark.parametrize("hospitals, departments", [
+    (["H:1,Hosp,4.0,3,NABH,urban,D1"], [GOOD_DEPARTMENT]),
+    ([GOOD_HOSPITAL, "H1,Again,4.0,3,NABH,urban,D1"], [GOOD_DEPARTMENT]),
+    ([GOOD_HOSPITAL], ["D;1,Dept,P1,H1"]),
+    ([GOOD_HOSPITAL], [GOOD_DEPARTMENT, "D1,Again,P1,H1"]),
+])
+def test_bad_hospital_and_department_ids_rejected(tmp_path, hospitals, departments):
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=hospitals,
+                         departments=departments)
+    with pytest.raises(MalformedRowError, match=r":\d+: id: "):
         parse(paths)
 
 
