@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnknownLayerError, UnsupportedLayerPairError
+from .errors import InvalidConfigError, UnknownLayerError, UnsupportedLayerPairError
 from .ingest import EntityStore
 from .model import (
     INTER_LAYER_PAIRS,
@@ -64,6 +64,8 @@ def layer_attributes(store: EntityStore, layer: LayerId) -> tuple[tuple[str, ...
 def build_intra_layer(store: EntityStore, layer: LayerId,
                       mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> AdjacencyBlock:
     """Square similarity block for one layer; symmetric with a zero diagonal."""
+    if not isinstance(mode, SimilarityMode):
+        raise InvalidConfigError(f"unknown similarity mode {mode!r}")
     ids, attrs = layer_attributes(store, layer)
     incidence = _incidence(attrs, sorted(set().union(*attrs)))
     weights = incidence @ incidence.T
@@ -73,8 +75,6 @@ def build_intra_layer(store: EntityStore, layer: LayerId,
         i, j = np.nonzero(weights)
         shared = weights[i, j]
         weights[i, j] = shared / (degree[i] + degree[j] - shared)
-    elif mode is not SimilarityMode.INTERSECTION_COUNT:
-        raise UnknownLayerError(f"unknown similarity mode {mode!r}")
     return AdjacencyBlock(rows=coerce_layer(layer), cols=coerce_layer(layer),
                           row_ids=ids, col_ids=ids, weights=weights)
 

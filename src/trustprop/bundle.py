@@ -26,6 +26,8 @@ from .model import (
     LayerGraph,
     LayerId,
     MultiLayerNetwork,
+    from_cells,
+    nonzero_cells,
     validate_network,
 )
 from .scoring import LayerScores
@@ -76,22 +78,12 @@ _CELL_KEYS = ("row", "col", "weight")
 
 def _block_payload(block: AdjacencyBlock) -> dict:
     """Every nonzero cell of the block, row-major, as three parallel lists."""
-    row, col = np.nonzero(block.weights)
-    return dict(zip(_CELL_KEYS, (row.tolist(), col.tolist(), block.weights[row, col].tolist())))
+    return dict(zip(_CELL_KEYS, (cells.tolist() for cells in nonzero_cells(block.weights))))
 
 
 def _block_from_payload(payload: Mapping, rows: LayerGraph, cols: LayerGraph) -> AdjacencyBlock:
-    name = f"{rows.layer.value}x{cols.layer.value}"
-    row, col, weight = (np.asarray(payload[key]) for key in _CELL_KEYS)
-    if not (row.ndim == col.ndim == weight.ndim == 1 and len(row) == len(col) == len(weight)):
-        raise InputError(f"{name} block: row, col and weight must be lists of equal length")
-    for index, graph in ((row, rows), (col, cols)):
-        if index.size and not (index.dtype.kind in "iu" and 0 <= index.min() <= index.max() < len(graph)):
-            raise InputError(f"{name} block: a cell index is not a {graph.layer.value} node index")
-    if weight.size and weight.dtype.kind not in "iuf":
-        raise InputError(f"{name} block: a weight is not a number")
-    weights = np.zeros((len(rows), len(cols)))
-    weights[row.astype(np.intp), col.astype(np.intp)] = weight
+    weights = from_cells((len(rows), len(cols)), *(payload[key] for key in _CELL_KEYS),
+                         f"{rows.layer.value}x{cols.layer.value} block")
     return AdjacencyBlock(rows=rows.layer, cols=cols.layer, row_ids=rows.node_ids,
                           col_ids=cols.node_ids, weights=weights)
 

@@ -387,62 +387,3 @@ def baseline_columns(store: EntityStore) -> dict[str, dict[str, dict[str, float]
         },
     }
 
-
-# --- serialization (canonical form; parse -> serialize -> parse is identity) ---
-
-def _format_number(value: float | None) -> str:
-    if value is None:
-        return ""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _format_members(ids: frozenset[str], weights: dict[str, float] | None = None) -> str:
-    parts = []
-    for ident in sorted(ids):
-        if weights and ident in weights:
-            parts.append(f"{ident}:{_format_number(weights[ident])}")
-        else:
-            parts.append(ident)
-    return ";".join(parts)
-
-
-def serialize_store(store: EntityStore, doctors_path, hospitals_path, departments_path) -> None:
-    """Write the store back out in the input CSV format, canonically ordered."""
-    with open(doctors_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DOCTOR_COLUMNS)
-        for p in sorted(store.doctors):
-            doc = store.doctors[p]
-            writer.writerow([
-                doc.id, doc.name,
-                _format_members(doc.hospital_ids), _format_members(doc.department_ids),
-                _format_number(doc.qualification_score),
-                _format_number(doc.overall_experience_years),
-                _format_number(doc.specialist_experience_years),
-                _format_number(doc.like_pct),
-                str(doc.vote_count), str(doc.review_count),
-                "true" if doc.verified else "false",
-                "true" if doc.claimed else "false",
-            ])
-    with open(hospitals_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HOSPITAL_COLUMNS)
-        for h in sorted(store.hospitals):
-            rec = store.hospitals[h]
-            writer.writerow([
-                rec.id, rec.name, _format_number(rec.rating), str(rec.stories_count),
-                rec.accreditation or "", rec.location_category or "",
-                _format_members(rec.department_ids),
-            ])
-    with open(departments_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DEPARTMENT_COLUMNS)
-        for d in sorted(store.departments):
-            dept = store.departments[d]
-            writer.writerow([
-                dept.id, dept.name,
-                _format_members(dept.doctor_ids, dept.doctor_weights),
-                _format_members(dept.hospital_ids, dept.hospital_weights),
-            ])

@@ -32,17 +32,11 @@ def _paired_arrays(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they occupy."""
-    x = np.asarray(values, dtype=float)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=float)
-    i = 0
-    while i < len(x):
-        j = i
-        while j < len(x) and x[order[j]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0
-        i = j
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return ((starts + 1 + ends) / 2)[inverse]
 
 
 def spearman(a, b) -> float:

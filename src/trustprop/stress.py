@@ -26,7 +26,7 @@ from .errors import (
     SchemaVersionError,
 )
 from .metrics import MetricsReport, build_report
-from .model import LayerId, TrustMatrix
+from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells, nonzero_cells
 from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_network
 from .trust import TrustNetwork, _normalize_rows
 
@@ -34,7 +34,8 @@ EDGE_TABLE_SCHEMA = "trust-edges/1"
 _EDGE_HEADER = ["layer", "src", "dst", "trust"]
 
 #: matrix tags: h/d/p for the intra-layer matrices, hd/dh/dp/pd for the inter-layer ones
-_TAGS = frozenset({"h", "d", "p", "hd", "dh", "dp", "pd"})
+_TAGS = frozenset([layer.tag for layer in LAYERS] + [a.tag + b.tag for a, b in INTER_LAYER_PAIRS]
+                  + [b.tag + a.tag for a, b in INTER_LAYER_PAIRS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +115,11 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     """Flatten trust matrices to an edge table, row-major, skipping zero cells."""
     tags, srcs, dsts, values = [], [], [], []
     for matrix in matrices:
-        rows, cols = np.nonzero(matrix.values > 0)
+        rows, cols, cells = nonzero_cells(matrix.values)
         tags.append(np.full(len(rows), matrix.tag, dtype=object))
         srcs.append(np.asarray(matrix.row_ids, dtype=object)[rows])
         dsts.append(np.asarray(matrix.col_ids, dtype=object)[cols])
-        values.append(matrix.values[rows, cols])
+        values.append(cells)
     columns = (tags, srcs, dsts, values)
     return EdgeTable(*(np.concatenate(column) if column else [] for column in columns))
 
@@ -199,9 +200,9 @@ def rebuild_trust(table: EdgeTable,
                   shapes: Mapping[str, TrustMatrix]) -> tuple[dict[str, TrustMatrix], RebuildReport]:
     """Pivot an edge table back into row-stochastic trust matrices.
 
-    Cells absent from the table are zero-filled. Records landing on an
-    intra-layer diagonal are dropped and counted (self-trust is structurally
-    excluded). Every row is renormalized, so record values only set row
+    Cells absent from the table are zero-filled, and a cell given twice
+    raises InputError. Records landing on an intra-layer diagonal are dropped
+    and counted (self-trust is structurally excluded). Every row is renormalized, so record values only set row
     proportions.
     """
     by_tag = _groups(table.tag)
@@ -221,8 +222,8 @@ def rebuild_trust(table: EdgeTable,
         keep = ~((src == dst) & template.is_intra)
         if not keep.all():
             dropped[tag] = int((~keep).sum())
-        grid = np.zeros(template.shape)
-        grid[rows[keep], cols[keep]] = table.trust[group][keep]
+        grid = from_cells(template.shape, rows[keep], cols[keep], table.trust[group][keep],
+                          f"{tag} edges")
         matrices[tag] = TrustMatrix(rows=template.rows, cols=template.cols,
                                     row_ids=template.row_ids, col_ids=template.col_ids,
                                     values=_normalize_rows(grid))

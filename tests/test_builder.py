@@ -5,7 +5,7 @@ import pytest
 
 from trustprop import LayerId, build_inter_layer, build_intra_layer, build_network
 from trustprop.builder import SimilarityMode, layer_attributes
-from trustprop.errors import UnsupportedLayerPairError
+from trustprop.errors import InvalidConfigError, UnsupportedLayerPairError
 from trustprop.ingest import DepartmentRecord, DoctorRecord, EntityStore, HospitalRecord
 
 
@@ -167,6 +167,13 @@ def test_unsupported_pair_raises(demo_store):
         build_inter_layer(demo_store, LayerId.HOSPITAL, LayerId.DOCTOR)
     with pytest.raises(UnsupportedLayerPairError):
         build_inter_layer(demo_store, LayerId.DEPARTMENT, LayerId.HOSPITAL)
+
+
+def test_unknown_similarity_mode_is_a_config_error(demo_store):
+    with pytest.raises(InvalidConfigError, match="similarity mode"):
+        build_intra_layer(demo_store, LayerId.HOSPITAL, "jaccard")
+    with pytest.raises(InvalidConfigError, match="similarity mode"):
+        build_network(demo_store, "jaccard")
 
 
 def test_build_network_provenance(demo_store):

@@ -89,6 +89,14 @@ def test_unknown_schema_version_rejected(tmp_path, demo_network):
             load_network(path)
 
 
+def repeat_first_cell(block, weight=None):
+    """List a block's first cell a second time, with ``weight`` or its own weight."""
+    for key in ("row", "col", "weight"):
+        block[key].append(block[key][0])
+    if weight is not None:
+        block["weight"][-1] = weight
+
+
 @pytest.mark.parametrize("mutate", [
     lambda p: p.pop("layers"),
     lambda p: p["layers"].pop("doctor"),
@@ -111,6 +119,8 @@ def test_unknown_schema_version_rejected(tmp_path, demo_network):
     lambda p: p["inter"]["department:doctor"]["weight"].__setitem__(0, float("nan")),
     lambda p: p["inter"]["department:doctor"]["weight"].__setitem__(0, -5.0),
     lambda p: p["intra"]["hospital"]["weight"].__setitem__(0, 99.0),
+    lambda p: repeat_first_cell(p["inter"]["department:doctor"], weight=1000.0),
+    lambda p: repeat_first_cell(p["intra"]["hospital"]),
 ])
 def test_malformed_network_bundle_rejected(tmp_path, demo_network, mutate):
     path = tmp_path / "network.json"

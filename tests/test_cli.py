@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -77,10 +78,19 @@ def test_eval_writes_social_and_baseline_rows(out):
 
 
 def test_eval_is_deterministic(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_pipeline(DEMO / "config.json", out_a, commands=("build", "eval"))
-    run_pipeline(DEMO / "config.json", out_b, commands=("build", "eval"))
-    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+    """All six commands give the same bytes under different string hash seeds."""
+    script = ("import sys; from trustprop.cli import main\n"
+              "for command in ('build', 'trust', 'score', 'eval', 'stress', 'report'):\n"
+              "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / hash_seed
+        subprocess.run([sys.executable, "-c", script, str(DEMO / "config.json"), str(out_dir)],
+                       env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                       check=True, capture_output=True)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out_dir.iterdir())})
+    assert len(outputs[0]) == 15
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_override_changes_scenario_draws(tmp_path):

@@ -11,7 +11,6 @@ from trustprop.ingest import (
     derive_department_rating,
     ground_truth_ratings,
     like_pct_to_rating,
-    serialize_store,
 )
 
 DOCTOR_HEADER = ("id,name,hospital_ids,department_ids,qualification_score,"
@@ -198,17 +197,3 @@ def test_baseline_columns_cover_all_entities(demo_store):
         assert set(column) == set(demo_store.doctors), name
     assert baselines["hospital"]["stories_count"]["H1"] == 8
     assert baselines["doctor"]["vote_count"]["P3"] == 160
-
-
-def test_serialize_round_trip(tmp_path, demo_store):
-    paths = {name: tmp_path / f"{name}.csv" for name in ("doctors", "hospitals", "departments")}
-    serialize_store(demo_store, paths["doctors"], paths["hospitals"], paths["departments"])
-    again = parse(paths)
-    assert again.counts() == demo_store.counts()
-    assert again.departments["D1"].doctor_weights == demo_store.departments["D1"].doctor_weights
-    assert again.doctors["P5"].like_pct == demo_store.doctors["P5"].like_pct
-    # canonical output: serializing the reparsed store reproduces the bytes
-    second = {name: tmp_path / f"second_{name}.csv" for name in paths}
-    serialize_store(again, second["doctors"], second["hospitals"], second["departments"])
-    for name in paths:
-        assert second[name].read_bytes() == paths[name].read_bytes()

@@ -203,6 +203,12 @@ def test_rebuild_rejects_unknown_ids(demo_trust):
         rebuild_trust(edges(("dh", "D1", "H9", 0.5)), shapes)
 
 
+def test_rebuild_rejects_repeated_cell(demo_trust):
+    table = edges(("dp", "D1", "P1", 0.5), ("dp", "D1", "P2", 0.2), ("dp", "D1", "P1", 0.3))
+    with pytest.raises(InputError, match="more than once"):
+        rebuild_trust(table, demo_trust.by_tag())
+
+
 def test_rebuild_rejects_missing_shape():
     with pytest.raises(OutOfShapeError):
         rebuild_trust(edges(("h", "H1", "H2", 0.5)), {})
