@@ -19,16 +19,15 @@ from . import bundle
 from .builder import SimilarityMode, build_network
 from .errors import ConfigError, InputError, InvalidConfigError, TrustPropError
 from .ingest import baseline_columns, clean, ground_truth_ratings, parse_store
-from .metrics import MetricsReport, build_report
+from .metrics import MetricsReport, layer_reports
 from .model import LAYERS, LayerId, MultiLayerNetwork, validate_network
 from .scoring import (
     ConvergenceConfig,
     DeltaNorm,
     ResidualConfig,
-    ResidualKind,
+    _check_damping,
     generate_residual,
     is_int,
-    is_real,
     score_network,
 )
 from .stress import GeneratorConfig, GeneratorMethod, export_edge_table, run_stress, write_edge_table
@@ -122,10 +121,7 @@ class RunConfig:
         except (InvalidConfigError, ValueError) as exc:
             raise ConfigError(f"config.convergence: {exc}") from exc
 
-        damping = raw.get("damping", 1.0)
-        if not is_real(damping) or not 0.0 < damping <= 1.0:
-            raise ConfigError(f"config.damping: must lie in (0, 1], got {damping!r}")
-        self.damping = float(damping)
+        self.damping = _check_damping(raw.get("damping", 1.0))
 
         feed = raw.get("department_feed", "hospital")
         if feed not in ("hospital", "doctor"):
@@ -252,17 +248,6 @@ def cmd_eval(config: RunConfig) -> int:
     trusts = derive_network_trust(network)
     truths = ground_truth_ratings(store)
     reports: list[MetricsReport] = []
-
-    def ks_for(layer: LayerId, universe_size: int) -> list[int | None]:
-        usable: list[int | None] = []
-        for k in config.ks[layer]:
-            if k > universe_size:
-                log.warning("%s layer: skipping k=%d, only %d rated entities",
-                            layer.value, k, universe_size)
-                continue
-            usable.append(k)
-        return usable or [None]
-
     for scenario_index, scenario in enumerate(config.scenarios):
         family = SCENARIO_FAMILIES[scenario]
         residuals = {
@@ -276,17 +261,14 @@ def cmd_eval(config: RunConfig) -> int:
         for layer in LAYERS:
             scores = dict(zip(scored[layer].result.scores.entity_ids,
                               scored[layer].result.scores.values.tolist()))
-            truth = truths[layer.value]
-            for k in ks_for(layer, len(set(scores) & set(truth))):
-                reports.append(build_report(layer.value, "social_score", scenario,
-                                            scores, truth, k=k))
+            reports += layer_reports(layer.value, "social_score", scenario, scores,
+                                     truths[layer.value], config.ks[layer])
 
     baselines = baseline_columns(store)
     for layer in LAYERS:
-        truth = truths[layer.value]
         for name, column in baselines[layer.value].items():
-            for k in ks_for(layer, len(set(column) & set(truth))):
-                reports.append(build_report(layer.value, name, "", column, truth, k=k))
+            reports += layer_reports(layer.value, name, "", column, truths[layer.value],
+                                     config.ks[layer])
 
     bundle.write_metrics_csv(reports, config.out_dir / "metrics.csv")
     bundle.write_metrics_json(reports, config.out_dir / "metrics.json")

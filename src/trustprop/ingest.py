@@ -162,7 +162,7 @@ def _read_rows(path: str, columns: tuple[str, ...]):
     unique in the file, and free of the ``;`` and ``:`` that membership cells
     use as separators."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:

@@ -8,9 +8,10 @@ their own.
 """
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .errors import (
     LengthMismatchError,
     TooFewSamplesError,
 )
+
+log = logging.getLogger(__name__)
 
 
 def _paired_arrays(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -58,22 +61,26 @@ def spearman(a, b) -> float:
     return float((da * db).sum()) / math.sqrt(denom_sq)
 
 
+def _tied_pairs(x: np.ndarray) -> float:
+    """Pairs of equal values: the sum of c(c-1)/2 over each value's count c."""
+    counts = np.unique(x, return_counts=True)[1]
+    return float((counts * (counts - 1) // 2).sum())
+
+
 def kendall(a, b) -> float:
     """Kendall rank correlation, tie-corrected (tau-b).
 
-    Returns nan when every pair is tied on one side.
+    Returns nan when every pair is tied on one side. Pair signs are taken one
+    row at a time, so memory stays linear in n while time is quadratic.
     """
     xa, xb = _paired_arrays(a, b, "kendall")
     n = len(xa)
     if n < 2:
         raise TooFewSamplesError(f"kendall needs at least 2 samples, got {n}")
-    sa = np.sign(xa[:, None] - xa[None, :])
-    sb = np.sign(xb[:, None] - xb[None, :])
-    iu = np.triu_indices(n, k=1)
-    concordance = float((sa[iu] * sb[iu]).sum())
+    concordance = float(sum(np.sign(xa[i] - xa[i + 1:]) @ np.sign(xb[i] - xb[i + 1:])
+                            for i in range(n - 1)))
     n0 = n * (n - 1) / 2.0
-    ties_a = float((sa[iu] == 0).sum())
-    ties_b = float((sb[iu] == 0).sum())
+    ties_a, ties_b = (_tied_pairs(x) for x in (xa, xb))
     denom_sq = (n0 - ties_a) * (n0 - ties_b)
     if denom_sq == 0.0:
         return math.nan
@@ -167,20 +174,7 @@ class MetricsReport:
     mae: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "baseline": self.baseline,
-            "scenario": self.scenario,
-            "k": self.k,
-            "sample_size": self.sample_size,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "spearman": self.spearman,
-            "kendall": self.kendall,
-            "rmse": self.rmse,
-            "mae": self.mae,
-        }
+        return asdict(self)
 
 
 def _clean_corr(value: float) -> float | None:
@@ -218,3 +212,21 @@ def build_report(layer: str, baseline: str, scenario: str,
     return MetricsReport(layer=layer, baseline=baseline, scenario=scenario, k=k,
                          sample_size=len(ids), precision=precision, recall=recall, f1=f1,
                          spearman=rho, kendall=tau, rmse=err_rmse, mae=err_mae)
+
+
+def layer_reports(layer: str, baseline: str, scenario: str,
+                  scores: Mapping[str, float], truth: Mapping[str, float],
+                  ks: Iterable[int]) -> list[MetricsReport]:
+    """One report per usable k for a score column on one layer.
+
+    A k outside 1..(number of ids both scored and rated) is skipped with a
+    warning; when no k is left, one report without top-k metrics is made.
+    """
+    universe = len(set(scores) & set(truth))
+    usable: list[int | None] = []
+    for k in ks:
+        if 1 <= k <= universe:
+            usable.append(k)
+        else:
+            log.warning("%s layer: skipping k=%d, only %d rated entities", layer, k, universe)
+    return [build_report(layer, baseline, scenario, scores, truth, k) for k in usable or [None]]

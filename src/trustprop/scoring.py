@@ -110,15 +110,21 @@ class ResidualConfig:
             distribution = ResidualKind(kind)
         except ValueError:
             raise InvalidConfigError(f"unknown residual distribution {kind!r}") from None
-        allowed = {"value", "low", "high", "mean", "stdev", "alpha", "beta", "seed"}
-        unknown = set(data) - allowed
+        unknown = set(data) - _RESIDUAL_PARAMS[distribution] - {"seed"}
         if unknown:
-            raise InvalidConfigError(f"unknown residual config key(s): {', '.join(sorted(unknown))}")
+            raise InvalidConfigError(f"unknown {distribution.value} residual key(s): "
+                                     f"{', '.join(sorted(unknown))}")
         data.setdefault("seed", default_seed)
-        try:
-            return cls(distribution=distribution, **data)
-        except TypeError as exc:
-            raise InvalidConfigError(str(exc)) from exc
+        return cls(distribution=distribution, **data)
+
+
+#: the parameters each residual distribution reads, besides its seed
+_RESIDUAL_PARAMS = {
+    ResidualKind.CONSTANT: {"value"},
+    ResidualKind.UNIFORM: {"low", "high"},
+    ResidualKind.NORMAL: {"mean", "stdev"},
+    ResidualKind.SKEWED: {"alpha", "beta"},
+}
 
 
 def generate_residual(config: ResidualConfig, n: int, layer: LayerId,
@@ -170,8 +176,8 @@ class ConvergenceConfig:
 
 
 def _check_damping(damping: float) -> float:
-    if not 0.0 < damping <= 1.0:
-        raise InvalidConfigError(f"damping must lie in (0, 1], got {damping}")
+    if not is_real(damping) or not 0.0 < damping <= 1.0:
+        raise InvalidConfigError(f"damping must be a number in (0, 1], got {damping!r}")
     return float(damping)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     OutOfShapeError,
     SchemaVersionError,
 )
-from .metrics import MetricsReport, build_report
+from .metrics import MetricsReport, layer_reports
 from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells, nonzero_cells
 from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_network
 from .trust import TrustNetwork, _normalize_rows
@@ -248,12 +248,8 @@ def stress_compare(true_scores: Mapping[LayerId, LayerScores],
         synth_vec = synthetic_scores[layer].result.scores
         truth = dict(zip(true_vec.entity_ids, true_vec.values.tolist()))
         scored = dict(zip(synth_vec.entity_ids, synth_vec.values.tolist()))
-        layer_ks: list[int | None] = [k for k in (ks or {}).get(layer, []) if 1 <= k <= len(truth)]
-        if not layer_ks:
-            layer_ks = [None]
-        for k in layer_ks:
-            reports.append(build_report(layer.value, "synthetic_scores", scenario,
-                                        scored, truth, k=k))
+        reports += layer_reports(layer.value, "synthetic_scores", scenario, scored, truth,
+                                 (ks or {}).get(layer, []))
     return reports
 
 

@@ -155,6 +155,7 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     lambda c: c["convergence"].update(max_iterations=True),
     lambda c: c["convergence"].update(epsilon=True),
     lambda c: c["residual"]["hospital"].update(seed=True),
+    lambda c: c["residual"].update(hospital={"distribution": "uniform", "value": 0.9}),
     lambda c: c["stress"].update(concentration=True),
     lambda c: c["evaluation"].update(scenarios=5),
     lambda c: c["evaluation"].update(scenarios=[["uniform"]]),

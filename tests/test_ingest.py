@@ -60,6 +60,17 @@ def test_parse_weighted_membership(demo_paths):
     assert store.doctors["P1"].hospital_ids == frozenset({"H1", "H2", "H3"})
 
 
+def test_tables_with_utf8_bom_parse_like_the_originals(demo_paths, tmp_path):
+    names = ("doctors", "hospitals", "departments")
+    for name in names:
+        text = demo_paths[name].read_text(encoding="utf-8")
+        (tmp_path / f"{name}.csv").write_text("\ufeff" + text, encoding="utf-8")
+    bom = parse_store(*(tmp_path / f"{name}.csv" for name in names))
+    plain = parse_store(*(demo_paths[name] for name in names))
+    assert (bom.doctors, bom.hospitals, bom.departments) == \
+        (plain.doctors, plain.hospitals, plain.departments)
+
+
 def test_missing_column_rejected(tmp_path):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
                          departments=[GOOD_DEPARTMENT])

@@ -83,8 +83,9 @@ def test_kendall_exact_on_all_permutations_of_four():
 
 def test_correlations_with_ties_match_brute_force():
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        n = int(rng.integers(3, 12))
+    for trial in range(206):
+        # the last trials are long vectors with many ties
+        n = int(rng.integers(3, 12)) if trial < 200 else int(rng.integers(100, 301))
         a = list(rng.integers(0, 4, size=n).astype(float))
         b = list(rng.integers(0, 4, size=n).astype(float))
         want = exact_spearman(a, b)
@@ -97,7 +98,7 @@ def test_correlations_with_ties_match_brute_force():
         want = exact_kendall(a, b)
         if want is not None:
             num, denom_sq = want
-            assert kendall(a, b) == pytest.approx(num / math.sqrt(denom_sq), abs=1e-12)
+            assert kendall(a, b) == num / math.sqrt(denom_sq)
         else:
             assert math.isnan(kendall(a, b))
 

@@ -76,6 +76,8 @@ def test_skewed_residual_mean():
     {"distribution": "constant", "value": -0.5},
     {"distribution": "nosuch"},
     {"distribution": "constant", "value": 0.2, "stray": 1},
+    {"distribution": "uniform", "value": 0.9},
+    {"distribution": "constant", "value": 0.2, "alpha": 3.0},
 ])
 def test_bad_residual_configs_rejected(mapping):
     with pytest.raises(InvalidConfigError):
@@ -202,6 +204,8 @@ def test_invalid_convergence_and_damping_rejected():
         propagate(scores_from([0.1]), trust, damping=0.0)
     with pytest.raises(InvalidConfigError):
         propagate(scores_from([0.1]), trust, damping=1.5)
+    with pytest.raises(InvalidConfigError):
+        propagate(scores_from([0.1]), trust, damping=True)
 
 
 def test_empty_layer_propagates_trivially():

@@ -214,10 +214,12 @@ def test_rebuild_rejects_missing_shape():
         rebuild_trust(edges(("h", "H1", "H2", 0.5)), {})
 
 
-def test_stress_compare_identical_scores(demo_network, demo_trust):
+def test_stress_compare_identical_scores(demo_network, demo_trust, caplog):
     scores = demo_scores(demo_network, demo_trust)
-    reports = stress_compare(scores, scores, ks={layer: [3] for layer in LayerId})
+    with caplog.at_level("WARNING", logger="trustprop"):
+        reports = stress_compare(scores, scores, ks={layer: [3, 99] for layer in LayerId})
     assert len(reports) == 3
+    assert any("k=99" in record.message for record in caplog.records)
     for report in reports:
         assert report.spearman == 1.0 and report.kendall == 1.0
         assert report.precision == 1.0
