@@ -10,7 +10,7 @@ on synthetically regenerated trust values.
 from __future__ import annotations
 
 from .builder import SimilarityMode, build_inter_layer, build_intra_layer, build_network
-from .errors import ConfigError, InputError, InvalidConfigError, TrustPropError
+from .errors import ConfigError, InputError, TrustPropError
 from .ingest import (
     EntityStore,
     baseline_columns,
@@ -76,7 +76,6 @@ __all__ = [
     "GeneratorConfig",
     "GeneratorMethod",
     "InputError",
-    "InvalidConfigError",
     "LayerGraph",
     "LayerId",
     "MetricsReport",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, UnknownLayerError, UnsupportedLayerPairError
+from .errors import ConfigError, InputError
 from .ingest import EntityStore
 from .model import (
     INTER_LAYER_PAIRS,
@@ -26,7 +26,6 @@ from .model import (
     LayerGraph,
     LayerId,
     MultiLayerNetwork,
-    coerce_layer,
 )
 
 
@@ -48,7 +47,6 @@ def _incidence(attr_sets: Sequence[Iterable[str]], columns: Sequence[str]) -> np
 
 def layer_attributes(store: EntityStore, layer: LayerId) -> tuple[tuple[str, ...], list[frozenset[str]]]:
     """Node order (lexicographic) and per-node attribute sets for one layer."""
-    layer = coerce_layer(layer)
     if layer is LayerId.HOSPITAL:
         ids = tuple(sorted(store.hospitals))
         return ids, [store.hospitals[h].department_ids for h in ids]
@@ -58,14 +56,14 @@ def layer_attributes(store: EntityStore, layer: LayerId) -> tuple[tuple[str, ...
     if layer is LayerId.DOCTOR:
         ids = tuple(sorted(store.doctors))
         return ids, [store.doctors[p].hospital_ids for p in ids]
-    raise UnknownLayerError(f"unknown layer {layer!r}")
+    raise InputError(f"unknown layer {layer!r}")
 
 
 def build_intra_layer(store: EntityStore, layer: LayerId,
                       mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> AdjacencyBlock:
     """Square similarity block for one layer; symmetric with a zero diagonal."""
     if not isinstance(mode, SimilarityMode):
-        raise InvalidConfigError(f"unknown similarity mode {mode!r}")
+        raise ConfigError(f"unknown similarity mode {mode!r}")
     ids, attrs = layer_attributes(store, layer)
     incidence = _incidence(attrs, sorted(set().union(*attrs)))
     weights = incidence @ incidence.T
@@ -75,8 +73,7 @@ def build_intra_layer(store: EntityStore, layer: LayerId,
         i, j = np.nonzero(weights)
         shared = weights[i, j]
         weights[i, j] = shared / (degree[i] + degree[j] - shared)
-    return AdjacencyBlock(rows=coerce_layer(layer), cols=coerce_layer(layer),
-                          row_ids=ids, col_ids=ids, weights=weights)
+    return AdjacencyBlock(rows=layer, cols=layer, row_ids=ids, col_ids=ids, weights=weights)
 
 
 def _co_affiliation_counts(store: EntityStore, hospital_ids, department_ids) -> np.ndarray:
@@ -104,9 +101,8 @@ def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> Adjac
     department's explicit per-doctor weight winning. Any other layer pair has
     no belongs-to relation.
     """
-    rows, cols = coerce_layer(rows), coerce_layer(cols)
     if (rows, cols) not in INTER_LAYER_PAIRS:
-        raise UnsupportedLayerPairError(
+        raise InputError(
             f"no belongs-to relation for ({rows.value}, {cols.value}); "
             f"supported: hospital x department, department x doctor"
         )

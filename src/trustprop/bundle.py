@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InputError, MalformedRowError, SchemaVersionError
+from .errors import InputError, MalformedRowError
 from .metrics import MetricsReport
 from .model import (
     INTER_LAYER_PAIRS,
@@ -49,7 +49,7 @@ REPORT_SCHEMA = 1
 def _check_json_schema(data, expected: int, path, kind: str) -> None:
     version = data.get("schema_version") if isinstance(data, dict) else None
     if version != expected:
-        raise SchemaVersionError(
+        raise InputError(
             f"{path}: {kind} schema version {version!r} is not supported (expected {expected})")
 
 
@@ -168,7 +168,7 @@ def check_csv_schema(path, expected: str) -> None:
         first = handle.readline().strip()
     declared = first.split(":", 1)[1].strip() if first.startswith("# schema:") else None
     if declared != expected:
-        raise SchemaVersionError(f"{path}: expected schema {expected!r}, found {declared!r}")
+        raise InputError(f"{path}: expected schema {expected!r}, found {declared!r}")
 
 
 def _fmt(value: float) -> str:

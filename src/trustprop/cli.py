@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bundle
 from .builder import SimilarityMode, build_network
-from .errors import ConfigError, InputError, InvalidConfigError, TrustPropError
+from .errors import ConfigError, InputError, TrustPropError
 from .ingest import baseline_columns, clean, ground_truth_ratings, parse_store
 from .metrics import MetricsReport, layer_reports
 from .model import LAYERS, LayerId, MultiLayerNetwork, validate_network
@@ -107,7 +107,7 @@ class RunConfig:
             default_seed = _derived_seed(self.seed, _LAYER_INDEX[layer])
             try:
                 self.residuals[layer] = ResidualConfig.from_mapping(spec, default_seed=default_seed)
-            except InvalidConfigError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"config.residual.{layer.value}: {exc}") from exc
 
         conv = raw.get("convergence", {})
@@ -118,7 +118,7 @@ class RunConfig:
                 max_iterations=conv.get("max_iterations", 1000),
                 norm=DeltaNorm(conv.get("norm", "max_abs")),
             )
-        except (InvalidConfigError, ValueError) as exc:
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"config.convergence: {exc}") from exc
 
         self.damping = _check_damping(raw.get("damping", 1.0))
@@ -159,7 +159,7 @@ class RunConfig:
             self.stress = GeneratorConfig(method=method,
                                           concentration=stress.get("concentration", 1000.0),
                                           seed=seeds[0] if seeds else 0)
-        except InvalidConfigError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"config.stress: {exc}") from exc
         self.stress_seeds = seeds
 
@@ -362,10 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 3
-    except (InputError, TrustPropError) as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (TrustPropError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InputError, MalformedRowError, MissingColumnError
+from .errors import InputError, MalformedRowError
 
 RATING_SCALE = 5.0
 
@@ -170,11 +170,11 @@ def _read_rows(path: str, columns: tuple[str, ...]):
         try:
             header = next(reader)
         except StopIteration:
-            raise MissingColumnError(f"{path}: file is empty, expected header {','.join(columns)}")
+            raise InputError(f"{path}: file is empty, expected header {','.join(columns)}")
         header = [h.strip() for h in header]
         missing = [c for c in columns if c not in header]
         if missing:
-            raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
+            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
         index = {c: header.index(c) for c in columns}
         seen: set[str] = set()
         for line, row in enumerate(reader, start=2):
@@ -318,7 +318,7 @@ def clean(store: EntityStore) -> EntityStore:
 def like_pct_to_rating(like_pct: float) -> float:
     """Map a like percentage (0..100) onto the 0..5 rating scale."""
     if not 0.0 <= like_pct <= 100.0:
-        raise ValueError(f"like_pct must be within [0, 100], got {like_pct}")
+        raise InputError(f"like_pct must be within [0, 100], got {like_pct}")
     return like_pct / 20.0
 
 

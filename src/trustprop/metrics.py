@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    IdUniverseMismatchError,
-    KTooLargeError,
-    LengthMismatchError,
-    TooFewSamplesError,
-)
+from .errors import InputError
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +24,7 @@ def _paired_arrays(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.shape != xb.shape or xa.ndim != 1:
-        raise LengthMismatchError(f"{what}: got shapes {xa.shape} and {xb.shape}")
+        raise InputError(f"{what}: got shapes {xa.shape} and {xb.shape}")
     return xa, xb
 
 
@@ -50,7 +45,7 @@ def spearman(a, b) -> float:
     """
     xa, xb = _paired_arrays(a, b, "spearman")
     if len(xa) < 2:
-        raise TooFewSamplesError(f"spearman needs at least 2 samples, got {len(xa)}")
+        raise InputError(f"spearman needs at least 2 samples, got {len(xa)}")
     ra = average_ranks(xa)
     rb = average_ranks(xb)
     da = ra - ra.mean()
@@ -76,7 +71,7 @@ def kendall(a, b) -> float:
     xa, xb = _paired_arrays(a, b, "kendall")
     n = len(xa)
     if n < 2:
-        raise TooFewSamplesError(f"kendall needs at least 2 samples, got {n}")
+        raise InputError(f"kendall needs at least 2 samples, got {n}")
     concordance = float(sum(np.sign(xa[i] - xa[i + 1:]) @ np.sign(xb[i] - xb[i + 1:])
                             for i in range(n - 1)))
     n0 = n * (n - 1) / 2.0
@@ -87,39 +82,33 @@ def kendall(a, b) -> float:
     return concordance / math.sqrt(denom_sq)
 
 
-def _scored_dict(scored, what: str) -> dict[str, float]:
-    if isinstance(scored, Mapping):
-        return {str(k): float(v) for k, v in scored.items()}
-    out = {}
-    for ident, value in scored:
-        if ident in out:
-            raise IdUniverseMismatchError(f"{what}: duplicate id {ident!r}")
-        out[str(ident)] = float(value)
-    return out
+def _scored_dict(scored: Mapping) -> dict[str, float]:
+    return {str(k): float(v) for k, v in scored.items()}
 
 
-def top_k_ids(scored, k: int) -> list[str]:
+def top_k_ids(scored: Mapping[str, float], k: int) -> list[str]:
     """Ids of the k highest scores, ties broken by ascending id."""
-    scores = _scored_dict(scored, "top_k")
+    scores = _scored_dict(scored)
     if k < 1:
-        raise KTooLargeError(f"k must be at least 1, got {k}")
+        raise InputError(f"k must be at least 1, got {k}")
     if k > len(scores):
-        raise KTooLargeError(f"k={k} exceeds the {len(scores)} scored items")
+        raise InputError(f"k={k} exceeds the {len(scores)} scored items")
     return sorted(scores, key=lambda i: (-scores[i], i))[:k]
 
 
-def precision_at_k(predicted, truth, k: int) -> tuple[float, float, float]:
+def precision_at_k(predicted: Mapping[str, float], truth: Mapping[str, float],
+                   k: int) -> tuple[float, float, float]:
     """Overlap of the predicted and true top-k sets: (precision, recall, f1).
 
-    Both lists must score the same ids. Because both sides contribute exactly
+    Both mappings must score the same ids. Because both sides contribute exactly
     k items, precision and recall coincide here; f1 is their harmonic mean.
     """
-    pred = _scored_dict(predicted, "predicted")
-    true = _scored_dict(truth, "truth")
+    pred = _scored_dict(predicted)
+    true = _scored_dict(truth)
     if set(pred) != set(true):
         only_pred = sorted(set(pred) - set(true))[:3]
         only_true = sorted(set(true) - set(pred))[:3]
-        raise IdUniverseMismatchError(
+        raise InputError(
             f"predicted and truth must score the same ids "
             f"(only-predicted: {only_pred}, only-truth: {only_true})"
         )
@@ -134,7 +123,7 @@ def rmse_mae(predicted, truth) -> tuple[float, float]:
     """Root-mean-square and mean absolute error of two aligned vectors."""
     xa, xb = _paired_arrays(predicted, truth, "rmse_mae")
     if len(xa) == 0:
-        raise TooFewSamplesError("rmse_mae needs at least 1 sample")
+        raise InputError("rmse_mae needs at least 1 sample")
     diff = xa - xb
     return float(np.sqrt((diff * diff).mean())), float(np.abs(diff).mean())
 
@@ -190,8 +179,8 @@ def build_report(layer: str, baseline: str, scenario: str,
     anchor a comparison). Correlations on fewer than two shared entities, or on
     constant vectors, are reported as absent rather than zero.
     """
-    scores = _scored_dict(scores, "scores")
-    truth = _scored_dict(truth, "truth")
+    scores = _scored_dict(scores)
+    truth = _scored_dict(truth)
     ids = sorted(set(scores) & set(truth))
     s = np.array([scores[i] for i in ids], dtype=float)
     t = np.array([truth[i] for i in ids], dtype=float)
@@ -222,11 +211,17 @@ def layer_reports(layer: str, baseline: str, scenario: str,
     A k outside 1..(number of ids both scored and rated) is skipped with a
     warning; when no k is left, one report without top-k metrics is made.
     """
-    universe = len(set(scores) & set(truth))
-    usable: list[int | None] = []
+    shared = set(scores) & set(truth)
+    usable: list[int] = []
     for k in ks:
-        if 1 <= k <= universe:
+        if 1 <= k <= len(shared):
             usable.append(k)
         else:
-            log.warning("%s layer: skipping k=%d, only %d rated entities", layer, k, universe)
-    return [build_report(layer, baseline, scenario, scores, truth, k) for k in usable or [None]]
+            log.warning("%s layer: skipping k=%d, only %d rated entities", layer, k, len(shared))
+    # correlations and errors do not depend on k: compute them once, then add each k's top-k
+    reports = [build_report(layer, baseline, scenario, scores, truth, usable[0] if usable else None)]
+    pred, true = ({i: column[i] for i in shared} for column in (scores, truth))
+    for k in usable[1:]:
+        precision, recall, f1 = precision_at_k(pred, true, k)
+        reports.append(replace(reports[0], k=k, precision=precision, recall=recall, f1=f1))
+    return reports

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, UnknownLayerError
+from .errors import InputError
 
 ROW_SUM_TOL = 1e-9
 
@@ -49,23 +49,13 @@ INTER_LAYER_PAIRS = (
 )
 
 
-def coerce_layer(value: LayerId | str) -> LayerId:
-    """Accept a LayerId, its name, or its short tag; raise UnknownLayerError otherwise."""
-    if isinstance(value, LayerId):
-        return value
-    for layer in LayerId:
-        if value == layer.value or value == layer.tag:
-            return layer
-    raise UnknownLayerError(f"unknown layer {value!r}")
-
-
 def _freeze_matrix(instance, attr: str, label: str) -> None:
     """Store ``instance.attr`` as a read-only float matrix shaped by its row and column ids."""
     arr = np.asarray(getattr(instance, attr), dtype=float)
     expected = (len(instance.row_ids), len(instance.col_ids))
     if arr.shape != expected:
-        raise DimensionMismatchError(f"{label}: {attr} shape {arr.shape} does not match "
-                                     f"{expected[0]} row ids x {expected[1]} col ids")
+        raise InputError(f"{label}: {attr} shape {arr.shape} does not match "
+                         f"{expected[0]} row ids x {expected[1]} col ids")
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     object.__setattr__(instance, attr, arr)
@@ -162,21 +152,15 @@ class LayerGraph:
 
     def __post_init__(self):
         if len(self.node_ids) != len(self.attributes):
-            raise DimensionMismatchError(
+            raise InputError(
                 f"{self.layer.value} layer: {len(self.node_ids)} node ids but "
                 f"{len(self.attributes)} attribute sets"
             )
         if len(set(self.node_ids)) != len(self.node_ids):
-            raise ValueError(f"{self.layer.value} layer: duplicate node ids")
+            raise InputError(f"{self.layer.value} layer: duplicate node ids")
 
     def __len__(self) -> int:
         return len(self.node_ids)
-
-    def index(self, node_id: str) -> int:
-        try:
-            return self.node_ids.index(node_id)
-        except ValueError:
-            raise KeyError(node_id) from None
 
 
 @dataclass(frozen=True)
@@ -265,14 +249,14 @@ class ScoreVector:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
-            raise DimensionMismatchError(f"score vector must be 1-dimensional, got shape {arr.shape}")
+            raise InputError(f"score vector must be 1-dimensional, got shape {arr.shape}")
         if arr.shape[0] != len(self.entity_ids):
-            raise DimensionMismatchError(
+            raise InputError(
                 f"{self.layer.value} {self.kind.value} scores: {arr.shape[0]} values for "
                 f"{len(self.entity_ids)} entity ids"
             )
         if arr.size and (arr < 0).any():
-            raise ValueError(f"{self.layer.value} {self.kind.value} scores: negative entry")
+            raise InputError(f"{self.layer.value} {self.kind.value} scores: negative entry")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -293,7 +277,7 @@ class MultiLayerNetwork:
 
     def __post_init__(self):
         if set(self.graphs) != set(LAYERS):
-            raise UnknownLayerError(
+            raise InputError(
                 f"network must have exactly the three layers, got {sorted(l.value for l in self.graphs)}"
             )
 

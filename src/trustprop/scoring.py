@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError
+from .errors import ConfigError, InputError
 from .model import LayerId, ScoreKind, ScoreVector, TrustMatrix
 from .trust import TrustNetwork
 
@@ -65,23 +65,23 @@ class ResidualConfig:
 
     def __post_init__(self):
         if not isinstance(self.distribution, ResidualKind):
-            raise InvalidConfigError(f"unknown residual distribution {self.distribution!r}")
+            raise ConfigError(f"unknown residual distribution {self.distribution!r}")
         if not is_int(self.seed) or self.seed < 0:
-            raise InvalidConfigError("residual seed must be a non-negative integer")
+            raise ConfigError("residual seed must be a non-negative integer")
         for name in ("value", "low", "high", "mean", "stdev", "alpha", "beta"):
             if not is_real(getattr(self, name)):
-                raise InvalidConfigError(
+                raise ConfigError(
                     f"residual {name} must be a finite number, got {getattr(self, name)!r}")
         if self.distribution is ResidualKind.CONSTANT and not 0.0 <= self.value <= 1.0:
-            raise InvalidConfigError(f"constant residual must lie in [0, 1], got {self.value}")
+            raise ConfigError(f"constant residual must lie in [0, 1], got {self.value}")
         if self.distribution is ResidualKind.UNIFORM:
             if not 0.0 <= self.low <= self.high <= 1.0:
-                raise InvalidConfigError(
+                raise ConfigError(
                     f"uniform residual needs 0 <= low <= high <= 1, got [{self.low}, {self.high}]")
         if self.distribution is ResidualKind.NORMAL and self.stdev <= 0:
-            raise InvalidConfigError(f"normal residual needs stdev > 0, got {self.stdev}")
+            raise ConfigError(f"normal residual needs stdev > 0, got {self.stdev}")
         if self.distribution is ResidualKind.SKEWED and (self.alpha <= 0 or self.beta <= 0):
-            raise InvalidConfigError(
+            raise ConfigError(
                 f"skewed residual needs alpha > 0 and beta > 0, got ({self.alpha}, {self.beta})")
 
     @classmethod
@@ -103,17 +103,17 @@ class ResidualConfig:
     @classmethod
     def from_mapping(cls, raw: Mapping, default_seed: int = 0) -> "ResidualConfig":
         if not isinstance(raw, Mapping):
-            raise InvalidConfigError(f"residual config must be a mapping, got {raw!r}")
+            raise ConfigError(f"residual config must be a mapping, got {raw!r}")
         data = dict(raw)
         kind = data.pop("distribution", None)
         try:
             distribution = ResidualKind(kind)
         except ValueError:
-            raise InvalidConfigError(f"unknown residual distribution {kind!r}") from None
+            raise ConfigError(f"unknown residual distribution {kind!r}") from None
         unknown = set(data) - _RESIDUAL_PARAMS[distribution] - {"seed"}
         if unknown:
-            raise InvalidConfigError(f"unknown {distribution.value} residual key(s): "
-                                     f"{', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown {distribution.value} residual key(s): "
+                              f"{', '.join(sorted(unknown))}")
         data.setdefault("seed", default_seed)
         return cls(distribution=distribution, **data)
 
@@ -131,10 +131,10 @@ def generate_residual(config: ResidualConfig, n: int, layer: LayerId,
                       entity_ids: tuple[str, ...] | None = None) -> ScoreVector:
     """Draw a residual score vector of length n for one layer."""
     if n < 0:
-        raise InvalidConfigError(f"residual length must be non-negative, got {n}")
+        raise ConfigError(f"residual length must be non-negative, got {n}")
     ids = entity_ids if entity_ids is not None else tuple(f"{layer.tag}{i}" for i in range(n))
     if len(ids) != n:
-        raise DimensionMismatchError(f"{len(ids)} entity ids for residual of length {n}")
+        raise InputError(f"{len(ids)} entity ids for residual of length {n}")
     rng = np.random.default_rng(config.seed)
     if config.distribution is ResidualKind.CONSTANT:
         values = np.full(n, config.value)
@@ -162,12 +162,12 @@ class ConvergenceConfig:
 
     def __post_init__(self):
         if not is_real(self.epsilon) or self.epsilon <= 0:
-            raise InvalidConfigError(f"epsilon must be a positive number, got {self.epsilon!r}")
+            raise ConfigError(f"epsilon must be a positive number, got {self.epsilon!r}")
         if not is_int(self.max_iterations) or self.max_iterations < 0:
-            raise InvalidConfigError(
+            raise ConfigError(
                 f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
         if not isinstance(self.norm, DeltaNorm):
-            raise InvalidConfigError(f"unknown delta norm {self.norm!r}")
+            raise ConfigError(f"unknown delta norm {self.norm!r}")
 
     def delta(self, diff: np.ndarray) -> float:
         if self.norm is DeltaNorm.MAX_ABS:
@@ -177,7 +177,7 @@ class ConvergenceConfig:
 
 def _check_damping(damping: float) -> float:
     if not is_real(damping) or not 0.0 < damping <= 1.0:
-        raise InvalidConfigError(f"damping must be a number in (0, 1], got {damping!r}")
+        raise ConfigError(f"damping must be a number in (0, 1], got {damping!r}")
     return float(damping)
 
 
@@ -186,12 +186,12 @@ def initial_score(own_residual: ScoreVector, feed_residual: ScoreVector,
     """Initial score: own residuals plus the feeding layer's residuals pushed
     through the trust matrix that points from the feeding layer to this one."""
     if feed_trust.rows is not feed_residual.layer or feed_trust.cols is not own_residual.layer:
-        raise DimensionMismatchError(
+        raise InputError(
             f"feed trust is {feed_trust.rows.value}->{feed_trust.cols.value}, but residuals are "
             f"{feed_residual.layer.value} feeding {own_residual.layer.value}"
         )
     if feed_trust.shape != (len(feed_residual), len(own_residual)):
-        raise DimensionMismatchError(
+        raise InputError(
             f"feed trust shape {feed_trust.shape} does not match residual lengths "
             f"({len(feed_residual)}, {len(own_residual)})"
         )
@@ -211,12 +211,12 @@ class PropagationResult:
 
 def _check_square(s0: ScoreVector, trust: TrustMatrix) -> None:
     if not trust.is_intra or trust.rows is not s0.layer:
-        raise DimensionMismatchError(
+        raise InputError(
             f"propagation needs the {s0.layer.value} layer's own trust matrix, "
             f"got {trust.rows.value}->{trust.cols.value}"
         )
     if trust.shape != (len(s0), len(s0)):
-        raise DimensionMismatchError(
+        raise InputError(
             f"trust shape {trust.shape} does not match score length {len(s0)}")
 
 
@@ -263,7 +263,7 @@ def closed_form_score(s0: ScoreVector, trust: TrustMatrix, r: int,
     _check_square(s0, trust)
     damping = _check_damping(damping)
     if r < 0:
-        raise InvalidConfigError(f"iteration count must be >= 0, got {r}")
+        raise ConfigError(f"iteration count must be >= 0, got {r}")
     matrix = trust.values
     if damping != 1.0:
         matrix = damping * matrix + (1.0 - damping) * np.eye(len(s0))
@@ -298,7 +298,7 @@ def score_network(
 ) -> dict[LayerId, LayerScores]:
     """Score all three layers with the configured inter-layer residual feeds."""
     if department_feed not in (LayerId.HOSPITAL, LayerId.DOCTOR):
-        raise InvalidConfigError(
+        raise ConfigError(
             f"department scores can be fed by hospital or doctor residuals, "
             f"not {getattr(department_feed, 'value', department_feed)!r}"
         )

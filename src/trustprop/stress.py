@@ -17,14 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyTableError,
-    InputError,
-    InvalidConfigError,
-    MalformedRowError,
-    OutOfShapeError,
-    SchemaVersionError,
-)
+from .errors import ConfigError, InputError, MalformedRowError
 from .metrics import MetricsReport, layer_reports
 from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells, nonzero_cells
 from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_network
@@ -103,12 +96,12 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if not isinstance(self.method, GeneratorMethod):
-            raise InvalidConfigError(f"unknown generator method {self.method!r}")
+            raise ConfigError(f"unknown generator method {self.method!r}")
         if not is_real(self.concentration) or self.concentration <= 0:
-            raise InvalidConfigError(
+            raise ConfigError(
                 f"concentration must be a positive number, got {self.concentration!r}")
         if not is_int(self.seed) or self.seed < 0:
-            raise InvalidConfigError("generator seed must be a non-negative integer")
+            raise ConfigError("generator seed must be a non-negative integer")
 
 
 def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
@@ -143,7 +136,7 @@ def read_edge_table(path) -> EdgeTable:
     with open(path, encoding="utf-8", newline="") as handle:
         marker = handle.readline().strip()
         if marker != f"# schema: {EDGE_TABLE_SCHEMA}":
-            raise SchemaVersionError(f"{path}: expected schema {EDGE_TABLE_SCHEMA!r}, found {marker!r}")
+            raise InputError(f"{path}: expected schema {EDGE_TABLE_SCHEMA!r}, found {marker!r}")
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != _EDGE_HEADER:
@@ -171,8 +164,6 @@ def generate_synthetic(table: EdgeTable, config: GeneratorConfig) -> EdgeTable:
     original distribution. bootstrap resamples values with replacement within
     each layer tag. Rows and tags draw in first-appearance order.
     """
-    if not len(table):
-        raise EmptyTableError("cannot generate from an empty edge table")
     if config.method is GeneratorMethod.IDENTITY:
         return table
 
@@ -208,7 +199,7 @@ def rebuild_trust(table: EdgeTable,
     by_tag = _groups(table.tag)
     missing = [tag for tag in by_tag if tag not in shapes]
     if missing:
-        raise OutOfShapeError(f"record tag {missing[0]!r} has no target matrix")
+        raise InputError(f"record tag {missing[0]!r} has no target matrix")
     matrices: dict[str, TrustMatrix] = {}
     dropped: dict[str, int] = {}
     for tag, template in shapes.items():
@@ -218,7 +209,7 @@ def rebuild_trust(table: EdgeTable,
         outside = np.flatnonzero((rows < 0) | (cols < 0))
         if outside.size:
             k = outside[0]
-            raise OutOfShapeError(f"{tag}: record ({src[k]},{dst[k]}) falls outside the matrix ids")
+            raise InputError(f"{tag}: record ({src[k]},{dst[k]}) falls outside the matrix ids")
         keep = ~((src == dst) & template.is_intra)
         if not keep.all():
             dropped[tag] = int((~keep).sum())

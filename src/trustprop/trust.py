@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntraLayerBlockError
+from .errors import InputError
 from .model import (
     INTER_LAYER_PAIRS,
     LAYERS,
@@ -50,7 +50,7 @@ def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
     trust over the parents it belongs to in proportion to its weights there.
     """
     if block.is_intra:
-        raise IntraLayerBlockError(
+        raise InputError(
             f"reverse trust needs an inter-layer block, got intra-layer {block.rows.value}"
         )
     return TrustMatrix(

@@ -5,7 +5,7 @@ import pytest
 
 from trustprop import LayerId, build_inter_layer, build_intra_layer, build_network
 from trustprop.builder import SimilarityMode, layer_attributes
-from trustprop.errors import InvalidConfigError, UnsupportedLayerPairError
+from trustprop.errors import ConfigError, InputError
 from trustprop.ingest import DepartmentRecord, DoctorRecord, EntityStore, HospitalRecord
 
 
@@ -163,16 +163,16 @@ def test_qualification_score_fallback():
 
 
 def test_unsupported_pair_raises(demo_store):
-    with pytest.raises(UnsupportedLayerPairError):
+    with pytest.raises(InputError, match=r"no belongs-to relation for \(hospital, doctor\)"):
         build_inter_layer(demo_store, LayerId.HOSPITAL, LayerId.DOCTOR)
-    with pytest.raises(UnsupportedLayerPairError):
+    with pytest.raises(InputError, match=r"no belongs-to relation for \(department, hospital\)"):
         build_inter_layer(demo_store, LayerId.DEPARTMENT, LayerId.HOSPITAL)
 
 
 def test_unknown_similarity_mode_is_a_config_error(demo_store):
-    with pytest.raises(InvalidConfigError, match="similarity mode"):
+    with pytest.raises(ConfigError, match="similarity mode"):
         build_intra_layer(demo_store, LayerId.HOSPITAL, "jaccard")
-    with pytest.raises(InvalidConfigError, match="similarity mode"):
+    with pytest.raises(ConfigError, match="similarity mode"):
         build_network(demo_store, "jaccard")
 
 

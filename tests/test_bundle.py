@@ -19,7 +19,7 @@ from trustprop.bundle import (
     write_scores_csv,
     write_trust_values_csv,
 )
-from trustprop.errors import InputError, SchemaVersionError
+from trustprop.errors import InputError
 from trustprop.ingest import EntityStore, ground_truth_ratings
 from trustprop.scoring import ConvergenceConfig, ResidualConfig, generate_residual, score_network
 from trustprop.stress import export_edge_table
@@ -85,7 +85,8 @@ def test_unknown_schema_version_rejected(tmp_path, demo_network):
     for version in (1, 42, None):
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaVersionError):
+        with pytest.raises(InputError,
+                           match=f"network bundle schema version {version!r} is not supported"):
             load_network(path)
 
 
@@ -176,7 +177,8 @@ def test_csv_schema_check(tmp_path, demo_trust):
     path = tmp_path / "trust_values.csv"
     write_trust_values_csv(export_edge_table(demo_trust.all_matrices()), path)
     check_csv_schema(path, "trust-values/1")
-    with pytest.raises(SchemaVersionError):
+    with pytest.raises(InputError,
+                       match="expected schema 'layer-scores/1', found 'trust-values/1'"):
         check_csv_schema(path, "layer-scores/1")
 
 

@@ -238,8 +238,8 @@ def test_empty_store_builds_empty_bundle(tmp_path, out, caplog):
     assert any("empty" in record.message for record in caplog.records)
     network = json.loads((out / "network.json").read_text())
     assert all(layer["node_ids"] == [] for layer in network["layers"].values())
-    # scoring an empty network is a no-op, not an error
-    assert main(["score", "--config", str(config_path), "--out", str(out)]) == 0
+    # every later command on an empty network is a no-op, not an error
+    run_pipeline(config_path, out, commands=("trust", "score", "eval", "stress", "report"))
 
 
 def test_oversized_k_skipped_with_warning(tmp_path, out, caplog):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from trustprop import clean, parse_store
-from trustprop.errors import MalformedRowError, MissingColumnError
+from trustprop.errors import InputError, MalformedRowError
 from trustprop.ingest import (
     baseline_columns,
     derive_department_rating,
@@ -75,7 +75,7 @@ def test_missing_column_rejected(tmp_path):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
                          departments=[GOOD_DEPARTMENT])
     paths["hospitals"].write_text("id,name\nH1,Hosp One\n", encoding="utf-8")
-    with pytest.raises(MissingColumnError):
+    with pytest.raises(InputError, match=r"missing column\(s\) "):
         parse(paths)
 
 
@@ -175,7 +175,7 @@ def test_like_pct_to_rating_scale():
     assert like_pct_to_rating(96.0) == pytest.approx(4.8)
     assert like_pct_to_rating(0.0) == 0.0
     assert like_pct_to_rating(100.0) == 5.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"like_pct must be within \[0, 100\], got 101.0"):
         like_pct_to_rating(101.0)
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from trustprop import build_report, kendall, precision_at_k, rmse_mae, spearman, top_k_ids
-from trustprop.errors import IdUniverseMismatchError, KTooLargeError, TooFewSamplesError
-from trustprop.metrics import average_ranks, normalize_scores_for_error
+from trustprop import metrics
+from trustprop.errors import InputError
+from trustprop.metrics import average_ranks, layer_reports, normalize_scores_for_error
 
 
 def exact_ranks(values):
@@ -117,9 +118,9 @@ def test_constant_vector_has_no_correlation():
 
 
 def test_too_few_samples_rejected():
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(InputError, match="spearman needs at least 2 samples, got 1"):
         spearman([1.0], [2.0])
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(InputError, match="kendall needs at least 2 samples, got 0"):
         kendall([], [])
 
 
@@ -135,9 +136,9 @@ def test_rank_metrics_invariant_under_monotone_transform():
 def test_top_k_breaks_ties_by_ascending_id():
     scored = {"b": 1.0, "a": 1.0, "c": 2.0, "d": 0.5}
     assert top_k_ids(scored, 3) == ["c", "a", "b"]
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(InputError, match="k=5 exceeds the 4 scored items"):
         top_k_ids(scored, 5)
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(InputError, match="k must be at least 1, got 0"):
         top_k_ids(scored, 0)
 
 
@@ -161,7 +162,7 @@ def test_precision_at_k_brute_force():
 
 
 def test_precision_requires_matching_universe():
-    with pytest.raises(IdUniverseMismatchError):
+    with pytest.raises(InputError, match="predicted and truth must score the same ids"):
         precision_at_k({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0}, 1)
 
 
@@ -177,7 +178,7 @@ def test_rmse_mae_brute_force():
     assert rmse == pytest.approx(math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)) / 30))
     assert mae == pytest.approx(sum(abs(x - y) for x, y in zip(a, b)) / 30)
     assert rmse >= mae  # power mean inequality
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(InputError, match="rmse_mae needs at least 1 sample"):
         rmse_mae([], [])
 
 
@@ -215,3 +216,19 @@ def test_build_report_absent_correlation_on_constant_truth():
     report = build_report("department", "social_score", "normal",
                           {"a": 0.2, "b": 0.4}, {"a": 3.0, "b": 3.0})
     assert report.spearman is None and report.kendall is None
+
+
+def test_layer_reports_compute_correlations_once_per_column(monkeypatch):
+    rng = np.random.default_rng(31)
+    ids = [f"e{i:02d}" for i in range(60)]
+    # 50 ids both scored and rated, plus unrated and unscored ids on each side
+    scores = dict(zip(ids[:55], rng.random(55).tolist()))
+    truth = dict(zip(ids[5:], rng.integers(1, 6, 55).astype(float).tolist()))
+    ks = [3, 5, 10]
+    expected = [build_report("doctor", "social_score", "uniform", scores, truth, k) for k in ks]
+    calls = []
+    monkeypatch.setattr(metrics, "kendall", lambda a, b: calls.append(len(a)) or kendall(a, b))
+    reports = layer_reports("doctor", "social_score", "uniform", scores, truth, ks)
+    assert calls == [50]
+    assert reports == expected
+    assert [report.k for report in reports] == ks

@@ -16,7 +16,7 @@ from trustprop import (
     propagate,
     score_network,
 )
-from trustprop.errors import DimensionMismatchError, InvalidConfigError
+from trustprop.errors import ConfigError, InputError
 from trustprop.model import ScoreKind
 
 H = LayerId.HOSPITAL
@@ -69,18 +69,25 @@ def test_skewed_residual_mean():
     assert (vec.values >= 0.0).all() and (vec.values <= 1.0).all()
 
 
-@pytest.mark.parametrize("mapping", [
-    {"distribution": "uniform", "low": 0.9, "high": 0.1},
-    {"distribution": "normal", "stdev": -1.0},
-    {"distribution": "skewed", "alpha": 0.0},
-    {"distribution": "constant", "value": -0.5},
-    {"distribution": "nosuch"},
-    {"distribution": "constant", "value": 0.2, "stray": 1},
-    {"distribution": "uniform", "value": 0.9},
-    {"distribution": "constant", "value": 0.2, "alpha": 3.0},
-])
-def test_bad_residual_configs_rejected(mapping):
-    with pytest.raises(InvalidConfigError):
+BAD_RESIDUALS = [
+    ({"distribution": "uniform", "low": 0.9, "high": 0.1},
+     "uniform residual needs 0 <= low <= high"),
+    ({"distribution": "normal", "stdev": -1.0}, "normal residual needs stdev > 0"),
+    ({"distribution": "skewed", "alpha": 0.0}, "skewed residual needs alpha > 0 and beta > 0"),
+    ({"distribution": "constant", "value": -0.5}, r"constant residual must lie in \[0, 1\]"),
+    ({"distribution": "nosuch"}, "unknown residual distribution 'nosuch'"),
+    ({"distribution": "constant", "value": 0.2, "stray": 1},
+     r"unknown constant residual key\(s\): stray"),
+    ({"distribution": "uniform", "value": 0.9}, r"unknown uniform residual key\(s\): value"),
+    ({"distribution": "constant", "value": 0.2, "alpha": 3.0},
+     r"unknown constant residual key\(s\): alpha"),
+]
+
+
+@pytest.mark.parametrize("mapping, fragment", BAD_RESIDUALS,
+                         ids=[f"mapping{i}" for i in range(len(BAD_RESIDUALS))])
+def test_bad_residual_configs_rejected(mapping, fragment):
+    with pytest.raises(ConfigError, match=fragment):
         ResidualConfig.from_mapping(mapping)
 
 
@@ -108,7 +115,8 @@ def test_initial_score_rejects_wrong_orientation():
     feed = scores_from([0.4, 0.6], layer=D, kind=ScoreKind.RESIDUAL)
     wrong = TrustMatrix(rows=H, cols=D, row_ids=("h0", "h1"), col_ids=("d0", "d1"),
                         values=np.eye(2))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError, match="feed trust is hospital->department, but residuals are "
+                                          "department feeding hospital"):
         initial_score(own, feed, wrong)
 
 
@@ -195,16 +203,16 @@ def test_l1_norm_differs_from_max_abs():
 
 
 def test_invalid_convergence_and_damping_rejected():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ConfigError, match="epsilon must be a positive number, got 0.0"):
         ConvergenceConfig(epsilon=0.0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ConfigError, match="max_iterations must be an integer >= 0, got -1"):
         ConvergenceConfig(max_iterations=-1)
     trust = trust_from(np.zeros((1, 1)))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ConfigError, match=r"damping must be a number in \(0, 1\], got 0.0"):
         propagate(scores_from([0.1]), trust, damping=0.0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ConfigError, match=r"damping must be a number in \(0, 1\], got 1.5"):
         propagate(scores_from([0.1]), trust, damping=1.5)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ConfigError, match=r"damping must be a number in \(0, 1\], got True"):
         propagate(scores_from([0.1]), trust, damping=True)
 
 
@@ -241,7 +249,8 @@ def test_score_network_department_feed_choice(demo_network, demo_trust):
     # hospital and doctor layers always feed from departments, unchanged
     assert (via_hospital[LayerId.HOSPITAL].initial.values
             == via_doctor[LayerId.HOSPITAL].initial.values).all()
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ConfigError, match="department scores can be fed by hospital or doctor "
+                                           "residuals, not 'department'"):
         score_network(demo_trust, demo_residuals(demo_network),
                       department_feed=LayerId.DEPARTMENT)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trustprop import AdjacencyBlock, LayerId, derive_reverse_trust, derive_trust
-from trustprop.errors import IntraLayerBlockError
+from trustprop.errors import InputError
 from trustprop.stress import export_edge_table
 
 
@@ -55,7 +55,8 @@ def test_reverse_trust_is_normalized_transpose():
 
 def test_reverse_trust_rejects_intra_blocks():
     block = block_from(np.zeros((2, 2)), rows=LayerId.DOCTOR, cols=LayerId.DOCTOR)
-    with pytest.raises(IntraLayerBlockError):
+    with pytest.raises(InputError,
+                       match="reverse trust needs an inter-layer block, got intra-layer doctor"):
         derive_reverse_trust(block)
 
 
