@@ -144,19 +144,8 @@ def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> Adjac
 def build_network(store: EntityStore,
                   mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> MultiLayerNetwork:
     """Assemble the full three-layer network from a (cleaned) store."""
-    graphs = {}
-    intra = {}
-    for layer in LAYERS:
-        ids, attrs = layer_attributes(store, layer)
-        graphs[layer] = LayerGraph(layer=layer, node_ids=ids, attributes=tuple(attrs))
-        intra[layer] = build_intra_layer(store, layer, mode)
-    inter = {
-        (LayerId.HOSPITAL, LayerId.DEPARTMENT): build_inter_layer(
-            store, LayerId.HOSPITAL, LayerId.DEPARTMENT),
-        (LayerId.DEPARTMENT, LayerId.DOCTOR): build_inter_layer(
-            store, LayerId.DEPARTMENT, LayerId.DOCTOR),
-    }
-    provenance = dict(store.provenance)
-    provenance["built"] = store.counts()
-    provenance["similarity_mode"] = mode.value
+    intra = {layer: build_intra_layer(store, layer, mode) for layer in LAYERS}
+    graphs = {layer: LayerGraph(layer, block.row_ids) for layer, block in intra.items()}
+    inter = {pair: build_inter_layer(store, *pair) for pair in INTER_LAYER_PAIRS}
+    provenance = {**store.provenance, "similarity_mode": mode.value}
     return MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter, provenance=provenance)

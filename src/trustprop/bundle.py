@@ -34,7 +34,7 @@ from .scoring import LayerScores
 from .stress import EdgeTable, StressRun
 from .trust import TrustNetwork
 
-NETWORK_SCHEMA = 2
+NETWORK_SCHEMA = 3
 TRUST_SCHEMA = 1
 METRICS_SCHEMA = 1
 STRESS_SCHEMA = 1
@@ -89,16 +89,10 @@ def _block_from_payload(payload: Mapping, rows: LayerGraph, cols: LayerGraph) ->
 
 
 def save_network(network: MultiLayerNetwork, path) -> None:
-    """Write each layer's ids and attributes once, and each block as its nonzero cells."""
+    """Write each layer's ids once, and each block as its nonzero cells."""
     data = {
         "schema_version": NETWORK_SCHEMA,
-        "layers": {
-            layer.value: {
-                "node_ids": list(network.graphs[layer].node_ids),
-                "attributes": [sorted(a) for a in network.graphs[layer].attributes],
-            }
-            for layer in LAYERS
-        },
+        "layers": {layer.value: {"node_ids": list(network.node_ids(layer))} for layer in LAYERS},
         "intra": {layer.value: _block_payload(network.intra[layer]) for layer in LAYERS},
         "inter": {
             f"{pair[0].value}:{pair[1].value}": _block_payload(network.inter[pair])
@@ -118,8 +112,7 @@ def load_network(path) -> MultiLayerNetwork:
     _check_json_schema(data, NETWORK_SCHEMA, path, "network bundle")
     try:
         layers = data["layers"]
-        graphs = {layer: LayerGraph(layer, tuple(layers[layer.value]["node_ids"]),
-                                    tuple(map(frozenset, layers[layer.value]["attributes"])))
+        graphs = {layer: LayerGraph(layer, tuple(layers[layer.value]["node_ids"]))
                   for layer in LAYERS}
         intra = {layer: _block_from_payload(data["intra"][layer.value], graphs[layer], graphs[layer])
                  for layer in LAYERS}

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bundle
-from .builder import SimilarityMode, build_network
+from .builder import SimilarityMode, build_network, layer_attributes
 from .errors import ConfigError, InputError, TrustPropError
 from .ingest import baseline_columns, clean, ground_truth_ratings, parse_store
 from .metrics import MetricsReport, layer_reports
-from .model import LAYERS, LayerId, MultiLayerNetwork, validate_network
+from .model import LAYERS, LayerId, MultiLayerNetwork
 from .scoring import (
     ConvergenceConfig,
     DeltaNorm,
@@ -204,8 +204,6 @@ def cmd_build(config: RunConfig) -> int:
     if any(dropped.values()):
         log.info("cleaning dropped %s", ", ".join(f"{v} {k}" for k, v in dropped.items() if v))
     network = build_network(cleaned, config.similarity_mode)
-    for violation in validate_network(network):
-        log.warning("network invariant violated: %s", violation)
     bundle.save_network(network, _network_path(config))
     log.info("wrote %s", _network_path(config))
     return 0
@@ -245,6 +243,11 @@ def cmd_eval(config: RunConfig) -> int:
     store = clean(parse_store(config.inputs["doctors"], config.inputs["hospitals"],
                               config.inputs["departments"]))
     network = _load_network(config)
+    for layer in LAYERS:
+        ids, _ = layer_attributes(store, layer)
+        if ids != network.node_ids(layer):
+            raise InputError(f"the cleaned input tables' {layer.value} ids differ from those in "
+                             f"{_network_path(config)}; run the build command again")
     trusts = derive_network_trust(network)
     truths = ground_truth_ratings(store)
     reports: list[MetricsReport] = []

@@ -180,7 +180,7 @@ def _read_rows(path: str, columns: tuple[str, ...]):
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise MalformedRowError(path, line, f"expected {len(header)} fields, got {len(row)}")
             ident = row[index["id"]].strip()
             if not ident:

@@ -139,23 +139,12 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
 
 @dataclass(frozen=True)
 class LayerGraph:
-    """One layer: ordered node ids plus each node's attribute set.
-
-    The attribute set is what intra-layer similarity is computed from
-    (departments for hospitals, doctors for departments, hospitals for
-    doctors).
-    """
+    """One layer's node ids, in the order every block of that layer uses."""
 
     layer: LayerId
     node_ids: tuple[str, ...]
-    attributes: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        if len(self.node_ids) != len(self.attributes):
-            raise InputError(
-                f"{self.layer.value} layer: {len(self.node_ids)} node ids but "
-                f"{len(self.attributes)} attribute sets"
-            )
         if len(set(self.node_ids)) != len(self.node_ids):
             raise InputError(f"{self.layer.value} layer: duplicate node ids")
 
@@ -171,7 +160,9 @@ class AdjacencyBlock:
     inter-layer blocks hold belongs-to weights. Value-level invariants
     (symmetry, zero diagonal, non-negativity) are reported by
     :func:`validate_network` rather than enforced here, so that a block built
-    from bad data can be inspected instead of being unrepresentable.
+    from bad data can be inspected instead of being unrepresentable. Which
+    blocks a network holds, and their id order, :class:`MultiLayerNetwork`
+    enforces at construction.
     """
 
     rows: LayerId
@@ -268,7 +259,7 @@ class ScoreVector:
 @dataclass(frozen=True)
 class MultiLayerNetwork:
     """The built network: three layer graphs, their intra blocks, and the two
-    belongs-to inter blocks."""
+    belongs-to inter blocks, each block indexed by its layers' node ids."""
 
     graphs: dict[LayerId, LayerGraph]
     intra: dict[LayerId, AdjacencyBlock]
@@ -280,53 +271,38 @@ class MultiLayerNetwork:
             raise InputError(
                 f"network must have exactly the three layers, got {sorted(l.value for l in self.graphs)}"
             )
+        if set(self.intra) != set(LAYERS):
+            raise InputError(f"network must have an intra block for each of the three layers, "
+                             f"got {sorted(l.value for l in self.intra)}")
+        if set(self.inter) != set(INTER_LAYER_PAIRS):
+            raise InputError("network must have exactly the hospitalxdepartment and "
+                             "departmentxdoctor blocks, got "
+                             f"{sorted(f'{r.value}x{c.value}' for r, c in self.inter)}")
+        blocks = {**{(layer, layer): block for layer, block in self.intra.items()}, **self.inter}
+        for (rows, cols), block in blocks.items():
+            if ((block.rows, block.cols, block.row_ids, block.col_ids)
+                    != (rows, cols, self.node_ids(rows), self.node_ids(cols))):
+                raise InputError(f"{rows.value}x{cols.value} block: ids do not match "
+                                 f"the layers' node order")
 
     def node_ids(self, layer: LayerId) -> tuple[str, ...]:
         return self.graphs[layer].node_ids
 
 
 def validate_network(network: MultiLayerNetwork) -> list[str]:
-    """Check structural invariants; return violation descriptions (empty when sound).
+    """Check the cell values of the five blocks; return violation descriptions (empty when sound).
 
-    Violations are data for the caller, not failures: the function never raises
-    on bad values and never mutates the network.
+    The block structure is the constructor's to enforce. Violations are data
+    for the caller, not failures: the function never raises on bad values and
+    never mutates the network.
     """
     out: list[str] = []
-    universes = {
-        LayerId.HOSPITAL: set(network.node_ids(LayerId.DEPARTMENT)),
-        LayerId.DEPARTMENT: set(network.node_ids(LayerId.DOCTOR)),
-        LayerId.DOCTOR: set(network.node_ids(LayerId.HOSPITAL)),
-    }
     for layer in LAYERS:
-        graph = network.graphs[layer]
-        stray = set().union(*graph.attributes) - universes[layer] if graph.attributes else set()
-        for attr in sorted(stray):
-            out.append(f"{layer.value} layer: attribute {attr!r} does not resolve to an entity")
-
-    for layer in LAYERS:
-        block = network.intra.get(layer)
-        if block is None:
-            out.append(f"{layer.value} layer: intra block missing")
-            continue
         ids = network.node_ids(layer)
-        if block.row_ids != ids or block.col_ids != ids:
-            out.append(f"{layer.value} intra block: ids do not match the layer's node order")
-            continue
-        out += cell_violations(f"{layer.value} intra block", block.weights, ids, ids,
+        out += cell_violations(f"{layer.value} intra block", network.intra[layer].weights, ids, ids,
                                square=True, symmetric=True)
-
-    for pair in INTER_LAYER_PAIRS:
-        block = network.inter.get(pair)
-        name = f"{pair[0].value}x{pair[1].value}"
-        if block is None:
-            out.append(f"{name} block: missing")
-            continue
-        if block.row_ids != network.node_ids(pair[0]) or block.col_ids != network.node_ids(pair[1]):
-            out.append(f"{name} block: ids do not match the layers' node order")
-            continue
-        out += cell_violations(f"{name} block", block.weights, block.row_ids, block.col_ids,
-                               square=False)
-    for pair in network.inter:
-        if pair not in INTER_LAYER_PAIRS:
-            out.append(f"{pair[0].value}x{pair[1].value} block: layer pair carries no belongs-to relation")
+    for rows, cols in INTER_LAYER_PAIRS:
+        block = network.inter[(rows, cols)]
+        out += cell_violations(f"{rows.value}x{cols.value} block", block.weights, block.row_ids,
+                               block.col_ids, square=False)
     return out

@@ -184,16 +184,18 @@ def _check_damping(damping: float) -> float:
 def initial_score(own_residual: ScoreVector, feed_residual: ScoreVector,
                   feed_trust: TrustMatrix) -> ScoreVector:
     """Initial score: own residuals plus the feeding layer's residuals pushed
-    through the trust matrix that points from the feeding layer to this one."""
+    through the trust matrix that points from the feeding layer to this one.
+    The matrix's row and column ids must be the two residuals' entity ids."""
     if feed_trust.rows is not feed_residual.layer or feed_trust.cols is not own_residual.layer:
         raise InputError(
             f"feed trust is {feed_trust.rows.value}->{feed_trust.cols.value}, but residuals are "
             f"{feed_residual.layer.value} feeding {own_residual.layer.value}"
         )
-    if feed_trust.shape != (len(feed_residual), len(own_residual)):
+    if (feed_trust.row_ids, feed_trust.col_ids) != (feed_residual.entity_ids,
+                                                    own_residual.entity_ids):
         raise InputError(
-            f"feed trust shape {feed_trust.shape} does not match residual lengths "
-            f"({len(feed_residual)}, {len(own_residual)})"
+            f"feed trust {feed_trust.tag} is not indexed by the {feed_residual.layer.value} and "
+            f"{own_residual.layer.value} residuals' entity ids, in their order"
         )
     values = own_residual.values + feed_residual.values @ feed_trust.values
     return ScoreVector(layer=own_residual.layer, kind=ScoreKind.INITIAL,
@@ -215,9 +217,9 @@ def _check_square(s0: ScoreVector, trust: TrustMatrix) -> None:
             f"propagation needs the {s0.layer.value} layer's own trust matrix, "
             f"got {trust.rows.value}->{trust.cols.value}"
         )
-    if trust.shape != (len(s0), len(s0)):
-        raise InputError(
-            f"trust shape {trust.shape} does not match score length {len(s0)}")
+    if trust.row_ids != s0.entity_ids or trust.col_ids != s0.entity_ids:
+        raise InputError(f"{trust.tag} trust is not indexed by the {s0.layer.value} scores' "
+                         f"entity ids, in their order")
 
 
 def propagate(s0: ScoreVector, trust: TrustMatrix, config: ConvergenceConfig = ConvergenceConfig(),

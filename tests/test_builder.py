@@ -179,7 +179,6 @@ def test_unknown_similarity_mode_is_a_config_error(demo_store):
 def test_build_network_provenance(demo_store):
     network = build_network(demo_store, SimilarityMode.JACCARD)
     assert network.provenance["similarity_mode"] == "jaccard"
-    assert network.provenance["built"] == demo_store.counts()
 
 
 def test_permutation_invariance():

@@ -50,14 +50,13 @@ def test_network_bundle_round_trip(tmp_path, demo_network):
         payload = json.loads(path.read_text())
         stored = {**payload["intra"], **payload["inter"]}
         for key, block in blocks(network).items():
-            # schema 2: the nonzero cells only, with no id lists of their own
+            # the nonzero cells only, with no id lists of their own
             assert set(stored[key]) == {"row", "col", "weight"}, key
             assert {len(cells) for cells in stored[key].values()} == {
                 np.count_nonzero(block.weights)}, key
         again = load_network(path)
         for layer in LayerId:
             assert again.node_ids(layer) == network.node_ids(layer)
-            assert again.graphs[layer].attributes == network.graphs[layer].attributes
         assert blocks(again).keys() == blocks(network).keys()
         for key, block in blocks(network).items():
             assert same_block(blocks(again)[key], block), key
@@ -82,7 +81,7 @@ def test_unknown_schema_version_rejected(tmp_path, demo_network):
     path = tmp_path / "network.json"
     save_network(demo_network, path)
     payload = json.loads(path.read_text())
-    for version in (1, 42, None):
+    for version in (1, 2, 42, None):
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(InputError,

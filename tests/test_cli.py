@@ -138,6 +138,21 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     assert main(["build", "--config", str(config_path), "--out", str(out)]) == 2
 
 
+def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog):
+    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    run_pipeline(tmp_path / "config.json", out, commands=("build",))
+    doctors = tmp_path / "doctors.csv"
+    doctors.write_text("".join(line for line in doctors.read_text().splitlines(keepends=True)
+                               if not line.startswith("P5,")))
+    with caplog.at_level("ERROR", logger="trustprop"):
+        assert main(["eval", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    # P5 was D4's only doctor, so the departments are the first layer to differ
+    assert any("department ids differ" in record.message and "run the build command again"
+               in record.message for record in caplog.records)
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("mutate", [
     lambda c: c.update(schema_version=2),
     lambda c: c.update(stray_key=1),
@@ -193,7 +208,7 @@ def test_corrupt_bundle_schema_exits_two(out):
     run_pipeline(DEMO / "config.json", out, commands=("build",))
     bundle_path = out / "network.json"
     text = bundle_path.read_text()
-    for corrupt in (json.dumps({**json.loads(text), "schema_version": 99}), text[:3000],
+    for corrupt in (json.dumps({**json.loads(text), "schema_version": 99}), text[:len(text) // 2],
                     _set_weights(text, float("nan")), _set_weights(text, -5.0, 5.0)):
         bundle_path.write_text(corrupt)
         for command in ("trust", "score"):

@@ -101,6 +101,7 @@ def test_malformed_row_reports_path_and_line(tmp_path):
     "P;2,Doc,H1,D1,7,10,5,80,50,20,true,true",     # id holds the list separator
     "P:2,Doc,H1,D1,7,10,5,80,50,20,true,true",     # id holds the weight separator
     " ,Doc,H1,D1,7,10,5,80,50,20,true,true",       # blank id
+    "P2,Doc,H1,D1,7,10,5,80,50,20,true,true,extra",  # more fields than the header
 ])
 def test_bad_doctor_rows_rejected(tmp_path, row):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR, row],
@@ -119,6 +120,14 @@ def test_bad_hospital_and_department_ids_rejected(tmp_path, hospitals, departmen
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=hospitals,
                          departments=departments)
     with pytest.raises(MalformedRowError, match=r":\d+: id: "):
+        parse(paths)
+
+
+def test_department_row_with_extra_field_rejected(tmp_path):
+    # an unquoted comma in the name shifts the member lists one field right
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
+                         departments=["D1,Cardiology, Adult,P1,H1"])
+    with pytest.raises(MalformedRowError, match=r"departments\.csv:2: expected 4 fields, got 5"):
         parse(paths)
 
 

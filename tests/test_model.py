@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trustprop import AdjacencyBlock, LayerGraph, LayerId, ScoreVector, TrustMatrix, validate_network
+from trustprop import (AdjacencyBlock, LayerGraph, LayerId, MultiLayerNetwork, ScoreVector,
+                       TrustMatrix, validate_network)
 from trustprop.errors import InputError
 from trustprop.model import INTER_LAYER_PAIRS, LAYERS, ScoreKind
 
@@ -19,15 +20,11 @@ def test_layer_ids_and_tags():
 
 def test_layer_graph_rejects_duplicates_and_mismatch():
     with pytest.raises(InputError, match="hospital layer: duplicate node ids"):
-        LayerGraph(layer=LayerId.HOSPITAL, node_ids=("H1", "H1"),
-                   attributes=(frozenset(), frozenset()))
-    with pytest.raises(InputError, match="hospital layer: 1 node ids but 0 attribute sets"):
-        LayerGraph(layer=LayerId.HOSPITAL, node_ids=("H1",), attributes=())
+        LayerGraph(layer=LayerId.HOSPITAL, node_ids=("H1", "H1"))
 
 
 def test_layer_graph_index():
-    graph = LayerGraph(layer=LayerId.DOCTOR, node_ids=("P1", "P2"),
-                       attributes=(frozenset({"H1"}), frozenset()))
+    graph = LayerGraph(layer=LayerId.DOCTOR, node_ids=("P1", "P2"))
     assert len(graph) == 2
 
 
@@ -123,3 +120,22 @@ def test_validate_network_reports_non_finite_weights(demo_network):
     problems = validate_network(network)
     assert any(p.startswith("doctor intra block: non-finite weight inf") for p in problems)
     assert any(p.startswith("departmentxdoctor block: non-finite weight nan") for p in problems)
+
+
+def test_network_structure_enforced_at_construction(demo_network):
+    h, d, p = LayerId.HOSPITAL, LayerId.DEPARTMENT, LayerId.DOCTOR
+    intra, inter = dict(demo_network.intra), dict(demo_network.inter)
+    missing_intra = {layer: block for layer, block in intra.items() if layer is not d}
+    hospital_ids, doctor_ids = demo_network.node_ids(h), demo_network.node_ids(p)
+    third_pair = {**inter, (h, p): AdjacencyBlock(
+        rows=h, cols=p, row_ids=hospital_ids, col_ids=doctor_ids,
+        weights=np.zeros((len(hospital_ids), len(doctor_ids))))}
+    weights = intra[p].weights[::-1, ::-1]
+    reversed_doctors = {**intra, p: AdjacencyBlock(
+        rows=p, cols=p, row_ids=doctor_ids[::-1], col_ids=doctor_ids[::-1], weights=weights)}
+    for intra_blocks, inter_blocks, message in (
+            (missing_intra, inter, "an intra block for each of the three layers"),
+            (intra, third_pair, "exactly the hospitalxdepartment and departmentxdoctor blocks"),
+            (reversed_doctors, inter, "doctorxdoctor block: ids do not match the layers' node order")):
+        with pytest.raises(InputError, match=message):
+            MultiLayerNetwork(graphs=demo_network.graphs, intra=intra_blocks, inter=inter_blocks)

@@ -118,6 +118,15 @@ def test_initial_score_rejects_wrong_orientation():
     with pytest.raises(InputError, match="feed trust is hospital->department, but residuals are "
                                           "department feeding hospital"):
         initial_score(own, feed, wrong)
+    trust = TrustMatrix(rows=D, cols=H, row_ids=("d0", "d1"), col_ids=("h0", "h1"),
+                        values=np.eye(2))
+    reversed_feed = ScoreVector(layer=D, kind=ScoreKind.RESIDUAL, entity_ids=("d1", "d0"),
+                                values=feed.values)
+    renamed_own = ScoreVector(layer=H, kind=ScoreKind.RESIDUAL, entity_ids=("H1", "H2"),
+                              values=own.values)
+    for own_scores, feed_scores in ((own, reversed_feed), (renamed_own, feed)):
+        with pytest.raises(InputError, match="feed trust dh is not indexed by"):
+            initial_score(own_scores, feed_scores, trust)
 
 
 # --- propagation ---
@@ -214,6 +223,17 @@ def test_invalid_convergence_and_damping_rejected():
         propagate(scores_from([0.1]), trust, damping=1.5)
     with pytest.raises(ConfigError, match=r"damping must be a number in \(0, 1\], got True"):
         propagate(scores_from([0.1]), trust, damping=True)
+
+
+def test_propagation_rejects_scores_not_aligned_with_trust():
+    trust = trust_from([[0.0, 1.0], [1.0, 0.0]])
+    reversed_ids = ScoreVector(layer=H, kind=ScoreKind.INITIAL, entity_ids=("h1", "h0"),
+                               values=np.array([0.1, 0.9]))
+    for s0 in (reversed_ids, scores_from([0.1, 0.9, 0.0])):
+        with pytest.raises(InputError, match="h trust is not indexed by the hospital scores"):
+            propagate(s0, trust)
+        with pytest.raises(InputError, match="h trust is not indexed by the hospital scores"):
+            closed_form_score(s0, trust, 2)
 
 
 def test_empty_layer_propagates_trivially():
