@@ -67,10 +67,18 @@ def _open_artifact(path) -> Iterator[TextIO]:
         temporary.unlink(missing_ok=True)
 
 
+def _json_default(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json(data: dict, path) -> None:
+    """One line of compact JSON with sorted keys. ``json.dumps`` in one call
+    runs CPython's C encoder; numpy arrays become lists only as it reaches them."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=_json_default)
     with _open_artifact(path) as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 _CELL_KEYS = ("row", "col", "weight")
@@ -78,7 +86,7 @@ _CELL_KEYS = ("row", "col", "weight")
 
 def _block_payload(block: AdjacencyBlock) -> dict:
     """Every nonzero cell of the block, row-major, as three parallel lists."""
-    return dict(zip(_CELL_KEYS, (cells.tolist() for cells in nonzero_cells(block.weights))))
+    return dict(zip(_CELL_KEYS, nonzero_cells(block.weights)))
 
 
 def _block_from_payload(payload: Mapping, rows: LayerGraph, cols: LayerGraph) -> AdjacencyBlock:
@@ -140,7 +148,7 @@ def save_trust(trusts: TrustNetwork, path) -> None:
                 "cols": m.cols.value,
                 "row_ids": list(m.row_ids),
                 "col_ids": list(m.col_ids),
-                "values": m.values.tolist(),
+                "values": m.values,
             }
             for tag, m in trusts.by_tag().items()
         },

@@ -248,6 +248,9 @@ def cmd_eval(config: RunConfig) -> int:
         if ids != network.node_ids(layer):
             raise InputError(f"the cleaned input tables' {layer.value} ids differ from those in "
                              f"{_network_path(config)}; run the build command again")
+    if network.provenance.get("inputs_sha256") != store.provenance["inputs_sha256"]:
+        raise InputError(f"the input tables differ from those {_network_path(config)} was built "
+                         "from; run the build command again")
     trusts = derive_network_trust(network)
     truths = ground_truth_ratings(store)
     reports: list[MetricsReport] = []

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,15 +159,18 @@ def _parse_bool(cell: str, path: str, line: int, what: str) -> bool:
     return _BOOL_WORDS[word]
 
 
-def _read_rows(path: str, columns: tuple[str, ...]):
+def _read_rows(path: str, columns: tuple[str, ...], digest):
     """Yield ``(line, id, cells)`` for each data row; ids must be non-empty,
     unique in the file, and free of the ``;`` and ``:`` that membership cells
-    use as separators."""
+    use as separators. The file's bytes, as read, also go into ``digest``."""
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    # length first, so that bytes moved from one table to the next change the digest
+    digest.update(len(data).to_bytes(8, "big"))
+    digest.update(data)
+    with io.StringIO(data.decode("utf-8-sig"), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -198,11 +203,14 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
     """Parse the three entity CSVs into an uncleaned store.
 
     Range checks happen here (a like percentage of 130 is a malformed row, not
-    a cleanable record); relational checks are clean()'s job.
+    a cleanable record); relational checks are clean()'s job. Provenance
+    records the raw counts and ``inputs_sha256``, a digest of the three files'
+    bytes, by which ``eval`` tells whether a network was built from these tables.
     """
     store = EntityStore()
+    digest = hashlib.sha256()
     dpath = str(Path(doctors_path))
-    for line, ident, cells in _read_rows(dpath, DOCTOR_COLUMNS):
+    for line, ident, cells in _read_rows(dpath, DOCTOR_COLUMNS, digest):
         hospital_ids, _ = _parse_members(cells["hospital_ids"], dpath, line, "hospital_ids")
         department_ids, _ = _parse_members(cells["department_ids"], dpath, line, "department_ids")
         overall = _parse_float(cells["overall_experience_years"], dpath, line,
@@ -229,7 +237,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
         )
 
     hpath = str(Path(hospitals_path))
-    for line, ident, cells in _read_rows(hpath, HOSPITAL_COLUMNS):
+    for line, ident, cells in _read_rows(hpath, HOSPITAL_COLUMNS, digest):
         department_ids, _ = _parse_members(cells["department_ids"], hpath, line, "department_ids")
         store.hospitals[ident] = HospitalRecord(
             id=ident,
@@ -242,7 +250,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
         )
 
     ppath = str(Path(departments_path))
-    for line, ident, cells in _read_rows(ppath, DEPARTMENT_COLUMNS):
+    for line, ident, cells in _read_rows(ppath, DEPARTMENT_COLUMNS, digest):
         doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], ppath, line, "doctor_ids")
         hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], ppath, line, "hospital_ids")
         store.departments[ident] = DepartmentRecord(
@@ -254,7 +262,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
             hospital_weights=hospital_weights,
         )
 
-    store.provenance = {"raw": store.counts()}
+    store.provenance = {"raw": store.counts(), "inputs_sha256": digest.hexdigest()}
     return store
 
 

@@ -156,6 +156,27 @@ def test_failed_write_keeps_old_artifact(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "values.csv"]
 
 
+def test_json_artifact_is_one_compact_line(tmp_path):
+    path = tmp_path / "doc.json"
+    document = {"vector": np.array([0.1, 2.0, 3]), "matrix": np.arange(6.0).reshape(2, 3) / 7,
+                "cells": np.array([0, 4, 9]), "name": "x", "nested": {"b": 1, "a": [1.5]}}
+    write_json(document, path)
+    plain = {**document, **{key: document[key].tolist() for key in ("vector", "matrix", "cells")}}
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        plain, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_numpy_scalar_fails_and_keeps_old_artifact(tmp_path):
+    # only whole arrays are converted; an object() is test_failed_write_keeps_old_artifact's case
+    path = tmp_path / "report.json"
+    write_json({"old": True}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json({"new": np.zeros(2), "broken": np.int64(3)}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_scores_csv_round_trip(tmp_path, demo_network, demo_trust):
     residuals = {
         layer: generate_residual(ResidualConfig.constant(0.2), len(demo_network.node_ids(layer)),

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from trustprop import derive_network_trust
+from trustprop.bundle import load_network
 from trustprop.cli import main
 
 DEMO = Path(__file__).parent / "fixtures" / "demo"
@@ -151,6 +153,39 @@ def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog):
     assert any("department ids differ" in record.message and "run the build command again"
                in record.message for record in caplog.records)
     assert not (out / "metrics.csv").exists()
+
+
+def test_eval_on_memberships_changed_since_build_exits_two(tmp_path, out, caplog):
+    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    run_pipeline(tmp_path / "config.json", out, commands=("build",))
+    doctors = tmp_path / "doctors.csv"
+    text = doctors.read_text()
+    # every id survives cleaning; only P2's hospital changes
+    doctors.write_text(text.replace("P2,Bikram Rao,H2,", "P2,Bikram Rao,H3,", 1))
+    assert doctors.read_text() != text
+    with caplog.at_level("ERROR", logger="trustprop"):
+        assert main(["eval", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert any("input tables differ" in record.message and "run the build command again"
+               in record.message for record in caplog.records)
+    assert not (out / "metrics.csv").exists()
+    # a fresh build makes eval usable again
+    run_pipeline(tmp_path / "config.json", out, commands=("build", "eval"))
+
+
+def test_trust_json_holds_the_derived_trust(out):
+    run_pipeline(DEMO / "config.json", out, commands=("build", "trust"))
+    trusts = derive_network_trust(load_network(out / "network.json")).by_tag()
+    stored = json.loads((out / "trust.json").read_text())
+    assert stored["schema_version"] == 1
+    assert stored["matrices"].keys() == trusts.keys()
+    for tag, matrix in trusts.items():
+        entry = stored["matrices"][tag]
+        assert (entry["rows"], entry["cols"]) == (matrix.rows.value, matrix.cols.value), tag
+        assert (entry["row_ids"], entry["col_ids"]) == (list(matrix.row_ids),
+                                                        list(matrix.col_ids)), tag
+        # exact floats, not equality after a cast
+        assert entry["values"] == matrix.values.tolist(), tag
 
 
 @pytest.mark.parametrize("mutate", [
