@@ -1,9 +1,12 @@
-"""File formats for built artifacts.
+"""File formats of every artifact the commands write and read.
 
-JSON artifacts carry a ``schema_version`` key; CSV artifacts carry a first-line
-comment ``# schema: <name>/<version>``. Loaders refuse versions they do not
-understand instead of guessing. Every artifact is written to a temporary file
-and then moved into place, so a failed write never leaves a half-written one.
+JSON artifacts carry a ``schema_version`` key and go through ``write_json``.
+CSV artifacts are UTF-8 with LF line ends: a first-line comment
+``# schema: <name>/<version>``, then the header, then the rows. ``write_csv``
+writes every one of them and ``read_csv`` reads them back, ``edges.csv`` from
+:mod:`stress` included. Loaders refuse versions they do not understand instead
+of guessing. Every artifact is written to a temporary file and then moved into
+place, so a failed write never leaves a half-written one.
 """
 from __future__ import annotations
 
@@ -12,13 +15,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InputError, MalformedRowError
-from .metrics import MetricsReport
 from .model import (
     INTER_LAYER_PAIRS,
     LAYERS,
@@ -30,9 +33,12 @@ from .model import (
     nonzero_cells,
     validate_network,
 )
-from .scoring import LayerScores
-from .stress import EdgeTable, StressRun
-from .trust import TrustNetwork
+
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
+    from .scoring import LayerScores
+    from .stress import EdgeTable, StressRun
+    from .trust import TrustNetwork
 
 NETWORK_SCHEMA = 3
 TRUST_SCHEMA = 1
@@ -156,94 +162,93 @@ def save_trust(trusts: TrustNetwork, path) -> None:
     write_json(data, path)
 
 
-@contextmanager
-def open_csv(path, schema: str) -> Iterator[TextIO]:
-    """Open an artifact for writing, as ``write_json`` does, and write its ``# schema:`` line."""
+def write_csv(path, schema: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV artifact: the ``# schema:`` line, the header, then the rows,
+    LF-terminated; a field holding a comma, a quote or a line break is quoted."""
     with _open_artifact(path) as handle:
         handle.write(f"# schema: {schema}\n")
-        yield handle
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def check_csv_schema(path, expected: str) -> None:
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline().strip()
-    declared = first.split(":", 1)[1].strip() if first.startswith("# schema:") else None
-    if declared != expected:
-        raise InputError(f"{path}: expected schema {expected!r}, found {declared!r}")
+def read_csv(path, schema: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, fields)`` for each non-empty row of a CSV artifact, once
+    its schema line and its header match ``schema`` and ``header`` exactly."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            first = handle.readline().strip()
+            declared = first[len("# schema:"):].strip() if first.startswith("# schema:") else first
+            if declared != schema:
+                raise InputError(f"{path}: expected schema {schema!r}, found {declared!r}")
+            reader = csv.reader(handle)
+            found = next(reader, None)
+            if found != list(header):
+                raise MalformedRowError(str(path), 2, f"unexpected header {found!r}")
+            for row in reader:
+                if row:
+                    yield reader.line_num + 1, row
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+#: every float of a CSV artifact, at 12 significant digits
+format_float = "{:.12g}".format
+
+_SCORES_HEADER = ("entity_id", "residual", "initial", "final", "iterations", "converged")
 
 
 def write_scores_csv(layer: LayerId, scores: LayerScores, path) -> None:
-    with open_csv(path, SCORES_CSV_SCHEMA) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["entity_id", "residual", "initial", "final", "iterations", "converged"])
-        result = scores.result
-        for idx, entity in enumerate(scores.residual.entity_ids):
-            writer.writerow([
-                entity,
-                _fmt(scores.residual.values[idx]),
-                _fmt(scores.initial.values[idx]),
-                _fmt(result.scores.values[idx]),
-                str(result.iterations),
-                "true" if result.converged else "false",
-            ])
+    result = scores.result
+    write_csv(path, SCORES_CSV_SCHEMA, _SCORES_HEADER, zip(
+        scores.residual.entity_ids,
+        map(format_float, scores.residual.values.tolist()),
+        map(format_float, scores.initial.values.tolist()),
+        map(format_float, result.scores.values.tolist()),
+        repeat(result.iterations),
+        repeat("true" if result.converged else "false")))
 
 
 def read_scores_csv(path) -> dict[str, float]:
     """entity_id -> final score."""
-    check_csv_schema(path, SCORES_CSV_SCHEMA)
     out = {}
-    with open(path, encoding="utf-8") as handle:
-        handle.readline()
-        reader = csv.DictReader(handle)
-        for row in reader:
-            ident, cell = row.get("entity_id"), row.get("final")
-            try:
-                final = float(cell)
-            except (TypeError, ValueError):
-                final = math.nan
-            if ident is None or not math.isfinite(final):
-                raise MalformedRowError(str(path), reader.line_num + 1,
-                                        f"expected an entity_id and a finite final score, got {cell!r}")
-            out[ident] = final
+    for line, row in read_csv(path, SCORES_CSV_SCHEMA, _SCORES_HEADER):
+        try:
+            final = float(row[3])
+        except (IndexError, ValueError):
+            final = math.nan
+        if not math.isfinite(final):
+            raise MalformedRowError(str(path), line,
+                                    f"expected an entity_id and a finite final score, got {row!r}")
+        out[row[0]] = final
     return out
 
 
 def write_convergence_csv(layer: LayerId, scores: LayerScores, path) -> None:
-    with open_csv(path, TRACE_CSV_SCHEMA) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "delta"])
-        for i, delta in enumerate(scores.result.deltas, start=1):
-            writer.writerow([str(i), _fmt(delta)])
+    write_csv(path, TRACE_CSV_SCHEMA, ("iteration", "delta"),
+              enumerate(map(format_float, scores.result.deltas), start=1))
 
 
 def write_trust_values_csv(table: EdgeTable, path) -> None:
     """The trust values of an exported edge table, ready for histograms:
     grouped by matrix tag in tag order, row-major within a tag."""
     order = np.argsort(table.tag, kind="stable")
-    with open_csv(path, TRUST_VALUES_CSV_SCHEMA) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["layer", "value"])
-        writer.writerows(zip(table.tag[order], map(_fmt, table.trust[order].tolist())))
+    write_csv(path, TRUST_VALUES_CSV_SCHEMA, ("layer", "value"),
+              zip(table.tag[order], map(format_float, table.trust[order].tolist())))
 
 
 _METRIC_FIELDS = ("precision", "recall", "f1", "spearman", "kendall", "rmse", "mae")
 
 
+def _fixed(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
 def write_metrics_csv(reports: Sequence[MetricsReport], path) -> None:
-    with open_csv(path, METRICS_CSV_SCHEMA) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["layer", "baseline", "scenario", "k", "sample_size", *_METRIC_FIELDS])
-        for report in reports:
-            row = [report.layer, report.baseline, report.scenario,
-                   "" if report.k is None else str(report.k), str(report.sample_size)]
-            for name in _METRIC_FIELDS:
-                value = getattr(report, name)
-                row.append("" if value is None else f"{value:.6f}")
-            writer.writerow(row)
+    write_csv(path, METRICS_CSV_SCHEMA,
+              ("layer", "baseline", "scenario", "k", "sample_size", *_METRIC_FIELDS),
+              ([r.layer, r.baseline, r.scenario, r.k, r.sample_size,
+                *(_fixed(getattr(r, name)) for name in _METRIC_FIELDS)] for r in reports))
 
 
 def write_metrics_json(reports: Sequence[MetricsReport], path) -> None:
@@ -272,12 +277,10 @@ def write_stress_json(runs: Sequence[StressRun], generator: str, path) -> None:
 
 def write_stress_pairs_csv(runs: Sequence[StressRun], path) -> None:
     """(true, synthetic) trust pairs per edge and seed, for scatter plots."""
-    with open_csv(path, PAIRS_CSV_SCHEMA) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["seed", "layer", "src", "dst", "true_trust", "synthetic_trust"])
-        for run in runs:
-            edges = run.edges
-            for tag, src, dst, true_value, synth_value in zip(
-                    edges.tag, edges.src, edges.dst, edges.trust.tolist(),
-                    run.synthetic.trust.tolist()):
-                writer.writerow([str(run.seed), tag, src, dst, _fmt(true_value), _fmt(synth_value)])
+    write_csv(path, PAIRS_CSV_SCHEMA,
+              ("seed", "layer", "src", "dst", "true_trust", "synthetic_trust"),
+              chain.from_iterable(
+                  zip(repeat(run.seed), run.edges.tag, run.edges.src, run.edges.dst,
+                      map(format_float, run.edges.trust.tolist()),
+                      map(format_float, run.synthetic.trust.tolist()))
+                  for run in runs))

@@ -168,7 +168,7 @@ def load_config(path: str, out_override: str | None, seed_override: int | None) 
     config_path = Path(path)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}: not valid JSON: {exc}") from exc

@@ -170,7 +170,11 @@ def _read_rows(path: str, columns: tuple[str, ...], digest):
     # length first, so that bytes moved from one table to the next change the digest
     digest.update(len(data).to_bytes(8, "big"))
     digest.update(data)
-    with io.StringIO(data.decode("utf-8-sig"), newline="") as handle:
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -5,11 +5,11 @@ generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
 is pivoted back into matrices, renormalized, and scored again. Comparing the
 rescored network against the original quantifies how much the scoring pipeline
-leans on the exact trust values.
+leans on the exact trust values. The edge table's CSV format, like every
+artifact format, belongs to :mod:`bundle`.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .bundle import format_float, read_csv, write_csv
 from .errors import ConfigError, InputError, MalformedRowError
 from .metrics import MetricsReport, layer_reports
 from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells, nonzero_cells
@@ -24,7 +25,7 @@ from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_netw
 from .trust import TrustNetwork, _normalize_rows
 
 EDGE_TABLE_SCHEMA = "trust-edges/1"
-_EDGE_HEADER = ["layer", "src", "dst", "trust"]
+_EDGE_HEADER = ("layer", "src", "dst", "trust")
 
 #: matrix tags: h/d/p for the intra-layer matrices, hd/dh/dp/pd for the inter-layer ones
 _TAGS = frozenset([layer.tag for layer in LAYERS] + [a.tag + b.tag for a, b in INTER_LAYER_PAIRS]
@@ -118,41 +119,27 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
-    """Write the table as CSV with 12 significant digits of trust; a field
-    holding a comma, a quote or a line break is quoted."""
-    from .bundle import open_csv
-
-    with open_csv(path, EDGE_TABLE_SCHEMA) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_EDGE_HEADER)
-        writer.writerows(zip(table.tag, table.src, table.dst,
-                             (f"{value:.12g}" for value in table.trust.tolist())))
+    """Write the table as a CSV artifact with 12 significant digits of trust."""
+    write_csv(path, EDGE_TABLE_SCHEMA, _EDGE_HEADER,
+              zip(table.tag, table.src, table.dst, map(format_float, table.trust.tolist())))
 
 
 def read_edge_table(path) -> EdgeTable:
     """Read a table written by :func:`write_edge_table`; every trust value
     must be positive and finite."""
     columns: tuple[list, ...] = ([], [], [], [])
-    with open(path, encoding="utf-8", newline="") as handle:
-        marker = handle.readline().strip()
-        if marker != f"# schema: {EDGE_TABLE_SCHEMA}":
-            raise InputError(f"{path}: expected schema {EDGE_TABLE_SCHEMA!r}, found {marker!r}")
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _EDGE_HEADER:
-            raise MalformedRowError(str(path), 2, f"unexpected header {header!r}")
-        for row in filter(None, reader):
-            try:
-                tag, src, dst, raw = row
-                trust = float(raw)
-            except ValueError:
-                raise MalformedRowError(str(path), reader.line_num + 1,
-                                        f"expected layer,src,dst,trust, got {row!r}") from None
-            if tag not in _TAGS or not 0 < trust < math.inf:
-                raise MalformedRowError(str(path), reader.line_num + 1,
-                                        f"unknown layer tag or non-positive trust in {row!r}")
-            for column, value in zip(columns, (tag, src, dst, trust)):
-                column.append(value)
+    for line, row in read_csv(path, EDGE_TABLE_SCHEMA, _EDGE_HEADER):
+        try:
+            tag, src, dst, raw = row
+            trust = float(raw)
+        except ValueError:
+            raise MalformedRowError(str(path), line,
+                                    f"expected layer,src,dst,trust, got {row!r}") from None
+        if tag not in _TAGS or not 0 < trust < math.inf:
+            raise MalformedRowError(str(path), line,
+                                    f"unknown layer tag or non-positive trust in {row!r}")
+        for column, value in zip(columns, (tag, src, dst, trust)):
+            column.append(value)
     return EdgeTable(*columns)
 
 

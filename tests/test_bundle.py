@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trustprop
 from test_builder import random_store
 from trustprop import LayerId, build_network
 from trustprop.builder import SimilarityMode
 from trustprop.bundle import (
-    check_csv_schema,
     load_network,
-    open_csv,
+    read_csv,
     read_scores_csv,
     save_network,
     save_trust,
+    write_csv,
     write_json,
     write_scores_csv,
     write_trust_values_csv,
@@ -143,15 +147,17 @@ def test_unparseable_network_bundle_rejected(tmp_path, text):
 def test_failed_write_keeps_old_artifact(tmp_path):
     json_path, csv_path = tmp_path / "report.json", tmp_path / "values.csv"
     write_json({"old": True}, json_path)
-    with open_csv(csv_path, "test/1") as handle:
-        handle.write("old\n")
+    write_csv(csv_path, "test/1", ["value"], [["old"]])
     before = {path: path.read_bytes() for path in (json_path, csv_path)}
     with pytest.raises(TypeError):
         write_json({"new": True, "broken": object()}, json_path)
+
+    def rows():
+        yield from [["new"]] * 1000
+        raise RuntimeError("writer failed partway")
+
     with pytest.raises(RuntimeError):
-        with open_csv(csv_path, "test/1") as handle:
-            handle.write("new\n" * 1000)
-            raise RuntimeError("writer failed partway")
+        write_csv(csv_path, "test/1", ["value"], rows())
     assert {path: path.read_bytes() for path in (json_path, csv_path)} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "values.csv"]
 
@@ -196,10 +202,29 @@ def test_scores_csv_round_trip(tmp_path, demo_network, demo_trust):
 def test_csv_schema_check(tmp_path, demo_trust):
     path = tmp_path / "trust_values.csv"
     write_trust_values_csv(export_edge_table(demo_trust.all_matrices()), path)
-    check_csv_schema(path, "trust-values/1")
+    assert len(list(read_csv(path, "trust-values/1", ["layer", "value"]))) > 0
     with pytest.raises(InputError,
                        match="expected schema 'layer-scores/1', found 'trust-values/1'"):
-        check_csv_schema(path, "layer-scores/1")
+        next(read_csv(path, "layer-scores/1", ["layer", "value"]))
+
+
+def test_bundle_imports_no_pipeline_module():
+    # The package __init__ re-exports every module, so bundle is loaded under a
+    # bare package: what remains loaded afterwards is what bundle itself imports.
+    script = (
+        "import sys, types\n"
+        "package = types.ModuleType('trustprop')\n"
+        f"package.__path__ = [{str(Path(trustprop.__file__).parent)!r}]\n"
+        "sys.modules['trustprop'] = package\n"
+        "import trustprop.bundle\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True)
+    loaded = set(result.stdout.split())
+    assert "trustprop.bundle" in loaded
+    assert not loaded & {"trustprop.stress", "trustprop.scoring", "trustprop.metrics",
+                         "trustprop.trust"}
 
 
 def test_ground_truth_survives_store_round_trip(demo_store):

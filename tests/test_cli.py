@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from trustprop import derive_network_trust
+from trustprop import bundle, derive_network_trust
 from trustprop.bundle import load_network
 from trustprop.cli import main
 
@@ -140,6 +140,14 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     assert main(["build", "--config", str(config_path), "--out", str(out)]) == 2
 
 
+def test_input_table_that_is_not_utf8_exits_two(tmp_path, out):
+    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    with open(tmp_path / "doctors.csv", "ab") as handle:
+        handle.write(b"P6,Caf\xe9,H1,D1,7,10,5,80,50,20,true,true\n")
+    assert main(["build", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+
+
 def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog):
     for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
         shutil.copy(DEMO / name, tmp_path / name)
@@ -233,6 +241,12 @@ def test_unparseable_config_exits_three(tmp_path, out):
     assert main(["build", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 3
 
 
+def test_config_that_is_not_utf8_exits_three(tmp_path, out):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes((DEMO / "config.json").read_bytes().replace(b'"out"', b'"\xe9"'))
+    assert main(["build", "--config", str(config_path), "--out", str(out)]) == 3
+
+
 def _set_weights(text, *weights):
     payload = json.loads(text)
     payload["inter"]["department:doctor"]["weight"][:len(weights)] = weights
@@ -267,6 +281,42 @@ def test_corrupt_scores_file_exits_two(out, corrupt):
     path = out / "scores_hospital.csv"
     path.write_text(corrupt(path.read_text()))
     assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+
+
+def test_scores_file_that_is_not_utf8_exits_two(out):
+    run_pipeline(DEMO / "config.json", out, commands=("build", "score"))
+    with open(out / "scores_hospital.csv", "ab") as handle:
+        handle.write(b"Caf\xe9,0.2,0.2,0.2,1,true\n")
+    assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+
+
+#: schema and header of each CSV artifact the six commands write
+CSV_ARTIFACTS = {
+    "trust_values.csv": ("trust-values/1", ["layer", "value"]),
+    "edges.csv": ("trust-edges/1", ["layer", "src", "dst", "trust"]),
+    "metrics.csv": ("metrics/1", ["layer", "baseline", "scenario", "k", "sample_size", "precision",
+                                  "recall", "f1", "spearman", "kendall", "rmse", "mae"]),
+    "stress_pairs.csv": ("stress-pairs/1", ["seed", "layer", "src", "dst", "true_trust",
+                                            "synthetic_trust"]),
+    **{f"scores_{layer}.csv": ("layer-scores/1", ["entity_id", "residual", "initial", "final",
+                                                  "iterations", "converged"])
+       for layer in ("hospital", "department", "doctor")},
+    **{f"convergence_{layer}.csv": ("convergence-trace/1", ["iteration", "delta"])
+       for layer in ("hospital", "department", "doctor")},
+}
+
+
+def test_csv_artifacts_share_one_format(out):
+    run_pipeline(DEMO / "config.json", out)
+    assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(CSV_ARTIFACTS)
+    for name, (schema, header) in CSV_ARTIFACTS.items():
+        data = (out / name).read_bytes()
+        assert data.startswith(f"# schema: {schema}\n".encode()), name
+        assert b"\r" not in data, name
+        rows = list(bundle.read_csv(out / name, schema, header))
+        assert [line for line, _ in rows] == list(range(3, data.count(b"\n") + 1)), name
+        assert all(len(fields) == len(header) for _, fields in rows), name
 
 
 def test_empty_store_builds_empty_bundle(tmp_path, out, caplog):

@@ -71,6 +71,16 @@ def test_tables_with_utf8_bom_parse_like_the_originals(demo_paths, tmp_path):
         (plain.doctors, plain.hospitals, plain.departments)
 
 
+def test_table_that_is_not_utf8_rejected(tmp_path):
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
+                         departments=[GOOD_DEPARTMENT])
+    with open(paths["doctors"], "ab") as handle:
+        handle.write(b"P2,Caf\xe9,H1,D1,7,10,5,80,50,20,true,true\n")
+    with pytest.raises(InputError, match="not UTF-8") as excinfo:
+        parse(paths)
+    assert str(paths["doctors"]) in str(excinfo.value)
+
+
 def test_missing_column_rejected(tmp_path):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
                          departments=[GOOD_DEPARTMENT])

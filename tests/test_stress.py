@@ -79,7 +79,7 @@ def test_read_rejects_wrong_schema(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("# schema: trust-edges/2\nlayer,src,dst,trust\n", encoding="utf-8")
     with pytest.raises(InputError,
-                       match="expected schema 'trust-edges/1', found '# schema: trust-edges/2'"):
+                       match="expected schema 'trust-edges/1', found 'trust-edges/2'"):
         read_edge_table(path)
 
 
