@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .model import (
     AdjacencyBlock,
-    LayerGraph,
     LayerId,
     MultiLayerNetwork,
     ScoreVector,
@@ -76,7 +75,6 @@ __all__ = [
     "GeneratorConfig",
     "GeneratorMethod",
     "InputError",
-    "LayerGraph",
     "LayerId",
     "MetricsReport",
     "MultiLayerNetwork",

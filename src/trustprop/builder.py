@@ -23,7 +23,6 @@ from .model import (
     INTER_LAYER_PAIRS,
     LAYERS,
     AdjacencyBlock,
-    LayerGraph,
     LayerId,
     MultiLayerNetwork,
 )
@@ -145,7 +144,7 @@ def build_network(store: EntityStore,
                   mode: SimilarityMode = SimilarityMode.INTERSECTION_COUNT) -> MultiLayerNetwork:
     """Assemble the full three-layer network from a (cleaned) store."""
     intra = {layer: build_intra_layer(store, layer, mode) for layer in LAYERS}
-    graphs = {layer: LayerGraph(layer, block.row_ids) for layer, block in intra.items()}
+    graphs = {layer: block.row_ids for layer, block in intra.items()}
     inter = {pair: build_inter_layer(store, *pair) for pair in INTER_LAYER_PAIRS}
     provenance = {**store.provenance, "similarity_mode": mode.value}
     return MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter, provenance=provenance)

@@ -26,7 +26,6 @@ from .model import (
     INTER_LAYER_PAIRS,
     LAYERS,
     AdjacencyBlock,
-    LayerGraph,
     LayerId,
     MultiLayerNetwork,
     from_cells,
@@ -50,13 +49,6 @@ TRUST_VALUES_CSV_SCHEMA = "trust-values/1"
 METRICS_CSV_SCHEMA = "metrics/1"
 PAIRS_CSV_SCHEMA = "stress-pairs/1"
 REPORT_SCHEMA = 1
-
-
-def _check_json_schema(data, expected: int, path, kind: str) -> None:
-    version = data.get("schema_version") if isinstance(data, dict) else None
-    if version != expected:
-        raise InputError(
-            f"{path}: {kind} schema version {version!r} is not supported (expected {expected})")
 
 
 @contextmanager
@@ -95,11 +87,12 @@ def _block_payload(block: AdjacencyBlock) -> dict:
     return dict(zip(_CELL_KEYS, nonzero_cells(block.weights)))
 
 
-def _block_from_payload(payload: Mapping, rows: LayerGraph, cols: LayerGraph) -> AdjacencyBlock:
-    weights = from_cells((len(rows), len(cols)), *(payload[key] for key in _CELL_KEYS),
-                         f"{rows.layer.value}x{cols.layer.value} block")
-    return AdjacencyBlock(rows=rows.layer, cols=cols.layer, row_ids=rows.node_ids,
-                          col_ids=cols.node_ids, weights=weights)
+def _block_from_payload(payload: Mapping, graphs: Mapping[LayerId, tuple[str, ...]],
+                        rows: LayerId, cols: LayerId) -> AdjacencyBlock:
+    row_ids, col_ids = graphs[rows], graphs[cols]
+    weights = from_cells((len(row_ids), len(col_ids)), *(payload[key] for key in _CELL_KEYS),
+                         f"{rows.value}x{cols.value} block")
+    return AdjacencyBlock(rows=rows, cols=cols, row_ids=row_ids, col_ids=col_ids, weights=weights)
 
 
 def save_network(network: MultiLayerNetwork, path) -> None:
@@ -123,15 +116,19 @@ def load_network(path) -> MultiLayerNetwork:
             data = json.load(handle)
     except ValueError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
-    _check_json_schema(data, NETWORK_SCHEMA, path, "network bundle")
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version != NETWORK_SCHEMA:
+        raise InputError(f"{path}: network bundle schema version {version!r} is not supported "
+                         f"(expected {NETWORK_SCHEMA})")
     try:
-        layers = data["layers"]
-        graphs = {layer: LayerGraph(layer, tuple(layers[layer.value]["node_ids"]))
-                  for layer in LAYERS}
-        intra = {layer: _block_from_payload(data["intra"][layer.value], graphs[layer], graphs[layer])
+        node_ids = [data["layers"][layer.value]["node_ids"] for layer in LAYERS]
+        if not all(isinstance(ids, list) for ids in node_ids):
+            raise InputError("each layer's node_ids must be a list")
+        graphs = {layer: tuple(ids) for layer, ids in zip(LAYERS, node_ids)}
+        intra = {layer: _block_from_payload(data["intra"][layer.value], graphs, layer, layer)
                  for layer in LAYERS}
         inter = {(rows, cols): _block_from_payload(data["inter"][f"{rows.value}:{cols.value}"],
-                                                   graphs[rows], graphs[cols])
+                                                   graphs, rows, cols)
                  for rows, cols in INTER_LAYER_PAIRS}
         network = MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter,
                                     provenance=data.get("provenance", {}))
@@ -220,6 +217,8 @@ def read_scores_csv(path) -> dict[str, float]:
         if not math.isfinite(final):
             raise MalformedRowError(str(path), line,
                                     f"expected an entity_id and a finite final score, got {row!r}")
+        if row[0] in out:
+            raise MalformedRowError(str(path), line, f"entity_id: duplicate id {row[0]!r}")
         out[row[0]] = final
     return out
 

@@ -19,11 +19,12 @@ from . import bundle
 from .builder import SimilarityMode, build_network, layer_attributes
 from .errors import ConfigError, InputError, TrustPropError
 from .ingest import baseline_columns, clean, ground_truth_ratings, parse_store
-from .metrics import MetricsReport, layer_reports
+from .metrics import MetricsReport, layer_reports, top_k_ids
 from .model import LAYERS, LayerId, MultiLayerNetwork
 from .scoring import (
     ConvergenceConfig,
     DeltaNorm,
+    LayerScores,
     ResidualConfig,
     _check_damping,
     generate_residual,
@@ -31,7 +32,7 @@ from .scoring import (
     score_network,
 )
 from .stress import GeneratorConfig, GeneratorMethod, export_edge_table, run_stress, write_edge_table
-from .trust import derive_network_trust
+from .trust import TrustNetwork, derive_network_trust
 
 log = logging.getLogger("trustprop")
 
@@ -186,12 +187,14 @@ def _load_network(config: RunConfig) -> MultiLayerNetwork:
     return bundle.load_network(path)
 
 
-def _network_residuals(config: RunConfig, network: MultiLayerNetwork):
-    return {
-        layer: generate_residual(config.residuals[layer], len(network.node_ids(layer)),
-                                 layer, network.node_ids(layer))
-        for layer in LAYERS
-    }
+def _score(config: RunConfig, network: MultiLayerNetwork, trusts: TrustNetwork,
+           residual_configs: dict[LayerId, ResidualConfig]) -> dict[LayerId, LayerScores]:
+    """Draw each layer's residuals from its config and score all three layers."""
+    residuals = {layer: generate_residual(residual_configs[layer], len(network.node_ids(layer)),
+                                          layer, network.node_ids(layer))
+                 for layer in LAYERS}
+    return score_network(trusts, residuals, config.convergence, config.damping,
+                         config.department_feed)
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -223,9 +226,7 @@ def cmd_trust(config: RunConfig) -> int:
 def cmd_score(config: RunConfig) -> int:
     network = _load_network(config)
     trusts = derive_network_trust(network)
-    residuals = _network_residuals(config, network)
-    scored = score_network(trusts, residuals, config.convergence,
-                           config.damping, config.department_feed)
+    scored = _score(config, network, trusts, config.residuals)
     for layer, layer_scores in scored.items():
         bundle.write_scores_csv(layer, layer_scores, config.out_dir / f"scores_{layer.value}.csv")
         bundle.write_convergence_csv(layer, layer_scores,
@@ -256,14 +257,9 @@ def cmd_eval(config: RunConfig) -> int:
     reports: list[MetricsReport] = []
     for scenario_index, scenario in enumerate(config.scenarios):
         family = SCENARIO_FAMILIES[scenario]
-        residuals = {
-            layer: generate_residual(
-                family(_derived_seed(config.seed, _LAYER_INDEX[layer], scenario_index)),
-                len(network.node_ids(layer)), layer, network.node_ids(layer))
-            for layer in LAYERS
-        }
-        scored = score_network(trusts, residuals, config.convergence,
-                               config.damping, config.department_feed)
+        scored = _score(config, network, trusts, {
+            layer: family(_derived_seed(config.seed, _LAYER_INDEX[layer], scenario_index))
+            for layer in LAYERS})
         for layer in LAYERS:
             scores = dict(zip(scored[layer].result.scores.entity_ids,
                               scored[layer].result.scores.values.tolist()))
@@ -285,9 +281,7 @@ def cmd_eval(config: RunConfig) -> int:
 def cmd_stress(config: RunConfig) -> int:
     network = _load_network(config)
     trusts = derive_network_trust(network)
-    residuals = _network_residuals(config, network)
-    true_scores = score_network(trusts, residuals, config.convergence,
-                                config.damping, config.department_feed)
+    true_scores = _score(config, network, trusts, config.residuals)
     runs = run_stress(trusts, true_scores, config.stress, config.stress_seeds,
                       config.convergence, config.damping, config.department_feed,
                       ks=config.ks)
@@ -318,8 +312,9 @@ def cmd_report(config: RunConfig) -> int:
         if not path.exists():
             continue
         finals = bundle.read_scores_csv(path)
-        top = sorted(finals, key=lambda i: (-finals[i], i))[:3]
-        scores_summary[layer.value] = {"entities": len(finals), "top": top}
+        scores_summary[layer.value] = {
+            "entities": len(finals),
+            "top": top_k_ids(finals, min(3, len(finals))) if finals else []}
     if scores_summary:
         summary["scores"] = scores_summary
     bundle.write_json(summary, config.out_dir / "report.json")

@@ -138,21 +138,6 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
 
 
 @dataclass(frozen=True)
-class LayerGraph:
-    """One layer's node ids, in the order every block of that layer uses."""
-
-    layer: LayerId
-    node_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.node_ids)) != len(self.node_ids):
-            raise InputError(f"{self.layer.value} layer: duplicate node ids")
-
-    def __len__(self) -> int:
-        return len(self.node_ids)
-
-
-@dataclass(frozen=True)
 class AdjacencyBlock:
     """A weighted block of the supra-adjacency structure.
 
@@ -258,10 +243,11 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class MultiLayerNetwork:
-    """The built network: three layer graphs, their intra blocks, and the two
-    belongs-to inter blocks, each block indexed by its layers' node ids."""
+    """The built network: each layer's node ids (``graphs``), the three intra
+    blocks and the two belongs-to inter blocks, each block indexed by its
+    layers' node ids in that order."""
 
-    graphs: dict[LayerId, LayerGraph]
+    graphs: dict[LayerId, tuple[str, ...]]
     intra: dict[LayerId, AdjacencyBlock]
     inter: dict[tuple[LayerId, LayerId], AdjacencyBlock]
     provenance: dict = field(default_factory=dict)
@@ -271,6 +257,14 @@ class MultiLayerNetwork:
             raise InputError(
                 f"network must have exactly the three layers, got {sorted(l.value for l in self.graphs)}"
             )
+        for layer, ids in self.graphs.items():
+            if not all(isinstance(i, str) for i in ids):
+                raise InputError(f"{layer.value} layer: node ids must be strings")
+            if len(set(ids)) != len(ids):
+                raise InputError(f"{layer.value} layer: duplicate node ids")
+        if not isinstance(self.provenance, dict):
+            raise InputError(f"network provenance must be a dict, "
+                             f"got {type(self.provenance).__name__}")
         if set(self.intra) != set(LAYERS):
             raise InputError(f"network must have an intra block for each of the three layers, "
                              f"got {sorted(l.value for l in self.intra)}")
@@ -286,7 +280,7 @@ class MultiLayerNetwork:
                                  f"the layers' node order")
 
     def node_ids(self, layer: LayerId) -> tuple[str, ...]:
-        return self.graphs[layer].node_ids
+        return self.graphs[layer]
 
 
 def validate_network(network: MultiLayerNetwork) -> list[str]:

@@ -310,7 +310,7 @@ def score_network(
     for layer, feed_layer in feeds.items():
         own = residuals[layer]
         feed = residuals[feed_layer]
-        s0 = initial_score(own, feed, trusts.matrix(feed_layer, layer))
+        s0 = initial_score(own, feed, trusts.inter[(feed_layer, layer)])
         out[layer] = LayerScores(residual=own, initial=s0,
                                  result=propagate(s0, trusts.intra[layer], config, damping))
     return out

@@ -74,9 +74,6 @@ class TrustNetwork:
     intra: dict[LayerId, TrustMatrix]
     inter: dict[tuple[LayerId, LayerId], TrustMatrix]
 
-    def matrix(self, rows: LayerId, cols: LayerId) -> TrustMatrix:
-        return self.intra[rows] if rows is cols else self.inter[(rows, cols)]
-
     def by_tag(self) -> dict[str, TrustMatrix]:
         out = {m.tag: m for m in self.intra.values()}
         out.update({m.tag: m for m in self.inter.values()})

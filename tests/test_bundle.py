@@ -125,6 +125,7 @@ def repeat_first_cell(block, weight=None):
     lambda p: p["intra"]["hospital"]["weight"].__setitem__(0, 99.0),
     lambda p: repeat_first_cell(p["inter"]["department:doctor"], weight=1000.0),
     lambda p: repeat_first_cell(p["intra"]["hospital"]),
+    lambda p: p["layers"]["hospital"].update(node_ids="WXYZ"),
 ])
 def test_malformed_network_bundle_rejected(tmp_path, demo_network, mutate):
     path = tmp_path / "network.json"

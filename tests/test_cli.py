@@ -275,6 +275,7 @@ def _set_final(text, value):
 @pytest.mark.parametrize("corrupt", [
     lambda t: _set_final(t, "abc"),
     lambda t: t.replace(",final,", ",fnal,", 1),
+    lambda t: t + "H4,0.2,0.2,0.99,1,true\n",  # a second H4 row
 ])
 def test_corrupt_scores_file_exits_two(out, corrupt):
     run_pipeline(DEMO / "config.json", out, commands=("build", "score"))
@@ -288,6 +289,28 @@ def test_scores_file_that_is_not_utf8_exits_two(out):
     with open(out / "scores_hospital.csv", "ab") as handle:
         handle.write(b"Caf\xe9,0.2,0.2,0.2,1,true\n")
     assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+
+
+def _set_hospital_ids(payload, *ids):
+    payload["layers"]["hospital"]["node_ids"][:len(ids)] = ids
+
+
+@pytest.mark.parametrize("command, mutate, message", [
+    ("eval", lambda p: p.update(provenance=[1, 2]), "provenance must be a dict"),
+    ("eval", lambda p: p.update(provenance=[]), "provenance must be a dict"),
+    ("score", lambda p: _set_hospital_ids(p, 1), "hospital layer: node ids must be strings"),
+    ("score", lambda p: _set_hospital_ids(p, None, 1, 2.5, True),
+     "hospital layer: node ids must be strings"),
+], ids=["provenance-list", "provenance-empty-list", "int-id", "mixed-ids"])
+def test_bundle_with_mistyped_fields_exits_two(out, caplog, command, mutate, message):
+    run_pipeline(DEMO / "config.json", out, commands=("build",))
+    path = out / "network.json"
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with caplog.at_level("ERROR", logger="trustprop"):
+        assert main([command, "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+    assert any(message in record.message for record in caplog.records)
 
 
 #: schema and header of each CSV artifact the six commands write

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trustprop import (AdjacencyBlock, LayerGraph, LayerId, MultiLayerNetwork, ScoreVector,
-                       TrustMatrix, validate_network)
+from trustprop import (AdjacencyBlock, LayerId, MultiLayerNetwork, ScoreVector, TrustMatrix,
+                       validate_network)
 from trustprop.errors import InputError
 from trustprop.model import INTER_LAYER_PAIRS, LAYERS, ScoreKind
 
@@ -18,14 +18,10 @@ def test_layer_ids_and_tags():
     )
 
 
-def test_layer_graph_rejects_duplicates_and_mismatch():
+def test_network_rejects_duplicate_node_ids(demo_network):
+    graphs = {**demo_network.graphs, LayerId.HOSPITAL: ("H1", "H1")}
     with pytest.raises(InputError, match="hospital layer: duplicate node ids"):
-        LayerGraph(layer=LayerId.HOSPITAL, node_ids=("H1", "H1"))
-
-
-def test_layer_graph_index():
-    graph = LayerGraph(layer=LayerId.DOCTOR, node_ids=("P1", "P2"))
-    assert len(graph) == 2
+        MultiLayerNetwork(graphs=graphs, intra=demo_network.intra, inter=demo_network.inter)
 
 
 def test_adjacency_block_shape_and_immutability():

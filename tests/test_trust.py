@@ -71,13 +71,6 @@ def test_all_matrices_order(demo_trust):
     assert tags == ["h", "d", "p", "dp", "dh", "pd", "hd"]
 
 
-def test_matrix_lookup(demo_trust):
-    matrix = demo_trust.matrix(LayerId.DEPARTMENT, LayerId.HOSPITAL)
-    assert matrix.tag == "dh"
-    with pytest.raises(KeyError):
-        demo_trust.matrix(LayerId.HOSPITAL, LayerId.DOCTOR)
-
-
 def test_nonzero_values_row_major():
     trust = derive_trust(block_from(np.array([[0.0, 2.0], [3.0, 1.0]])))
     assert export_edge_table([trust]).trust.tolist() == [1.0, 0.75, 0.25]
