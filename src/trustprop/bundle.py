@@ -171,7 +171,8 @@ def write_csv(path, schema: str, header: Sequence[str], rows: Iterable[Sequence]
 
 def read_csv(path, schema: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, fields)`` for each non-empty row of a CSV artifact, once
-    its schema line and its header match ``schema`` and ``header`` exactly."""
+    its schema line and its header match ``schema`` and ``header`` exactly;
+    every row must be as wide as the header."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             first = handle.readline().strip()
@@ -182,9 +183,11 @@ def read_csv(path, schema: str, header: Sequence[str]) -> Iterator[tuple[int, li
             found = next(reader, None)
             if found != list(header):
                 raise MalformedRowError(str(path), 2, f"unexpected header {found!r}")
-            for row in reader:
-                if row:
-                    yield reader.line_num + 1, row
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise MalformedRowError(str(path), reader.line_num + 1,
+                                            f"expected {len(header)} fields, got {len(row)}")
+                yield reader.line_num + 1, row
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -212,7 +215,7 @@ def read_scores_csv(path) -> dict[str, float]:
     for line, row in read_csv(path, SCORES_CSV_SCHEMA, _SCORES_HEADER):
         try:
             final = float(row[3])
-        except (IndexError, ValueError):
+        except ValueError:
             final = math.nan
         if not math.isfinite(final):
             raise MalformedRowError(str(path), line,

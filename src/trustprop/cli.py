@@ -11,7 +11,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -38,14 +40,13 @@ log = logging.getLogger("trustprop")
 
 CONFIG_SCHEMA = 1
 
-#: residual families used for the three evaluation scenarios
+#: residual families used for the three evaluation scenarios. A scenario's
+#: draws are seeded by its family's position here, so this order fixes the seeds.
 SCENARIO_FAMILIES = {
     "uniform": lambda seed: ResidualConfig.uniform(0.0, 1.0, seed=seed),
     "normal": lambda seed: ResidualConfig.normal(0.5, 0.15, seed=seed),
     "skewed": lambda seed: ResidualConfig.skewed(2.0, 8.0, seed=seed),
 }
-
-_LAYER_INDEX = {layer: i for i, layer in enumerate(LAYERS)}
 
 
 def _expect_keys(mapping: dict, allowed: set[str], context: str) -> None:
@@ -56,17 +57,40 @@ def _expect_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
+def _section(raw: dict, key: str, allowed: set[str], context: str) -> dict:
+    """``raw[key]`` (an empty object when absent), once it is an object of allowed keys."""
+    section = raw.get(key, {})
+    _expect_keys(section, allowed, f"{context}.{key}")
+    return section
+
+
+@contextmanager
+def _prefixed(context: str) -> Iterator[None]:
+    """Re-raise a ConfigError or ValueError from the block as a ConfigError led by ``context``."""
+    try:
+        yield
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _distinct(values, valid, context: str, what: str) -> list:
+    """``values`` once it is a list of distinct entries that are all ``valid``."""
+    if not isinstance(values, list) or not all(valid(v) for v in values):
+        raise ConfigError(f"{context}: must be a list of {what}, got {values!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{context}: entries must be distinct, got {values!r}")
+    return values
+
+
 def _derived_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence((master, *key)).generate_state(1)[0])
 
 
 class RunConfig:
-    """Validated view of the JSON config file."""
+    """Validated view of the JSON config file, with every seeded draw's config."""
 
     def __init__(self, raw: dict, config_dir: Path, out_override: str | None,
                  seed_override: int | None):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
         _expect_keys(raw, {"schema_version", "inputs", "out_dir", "similarity_mode",
                            "residual", "convergence", "damping", "department_feed",
                            "evaluation", "stress", "seed"}, "config")
@@ -75,8 +99,7 @@ class RunConfig:
                 f"config schema_version {raw.get('schema_version')!r} is not supported "
                 f"(expected {CONFIG_SCHEMA})")
 
-        inputs = raw.get("inputs", {})
-        _expect_keys(inputs, {"doctors", "hospitals", "departments"}, "config.inputs")
+        inputs = _section(raw, "inputs", {"doctors", "hospitals", "departments"}, "config")
         missing = {"doctors", "hospitals", "departments"} - set(inputs)
         if missing:
             raise ConfigError(f"config.inputs: missing {', '.join(sorted(missing))}")
@@ -84,85 +107,60 @@ class RunConfig:
         if not all(isinstance(v, str) for v in (*inputs.values(), out_dir)):
             raise ConfigError("config.inputs and config.out_dir: paths must be strings")
         self.inputs = {k: (config_dir / v) for k, v in inputs.items()}
-
         self.out_dir = Path(out_override) if out_override else config_dir / out_dir
 
-        mode = raw.get("similarity_mode", "intersection_count")
-        try:
-            self.similarity_mode = SimilarityMode(mode)
-        except ValueError:
-            raise ConfigError(f"config.similarity_mode: unknown mode {mode!r}") from None
+        with _prefixed("config.similarity_mode"):
+            self.similarity_mode = SimilarityMode(raw.get("similarity_mode", "intersection_count"))
 
-        seed = raw.get("seed", 0)
-        if seed_override is not None:
-            seed = seed_override
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
         if not is_int(seed) or seed < 0:
             raise ConfigError(f"config.seed: must be a non-negative integer, got {seed!r}")
         self.seed = seed
 
-        residual_raw = raw.get("residual", {})
-        _expect_keys(residual_raw, {layer.value for layer in LAYERS}, "config.residual")
+        layer_keys = {layer.value for layer in LAYERS}
+        residual = _section(raw, "residual", layer_keys, "config")
         self.residuals: dict[LayerId, ResidualConfig] = {}
-        for layer in LAYERS:
-            spec = residual_raw.get(layer.value, {"distribution": "constant", "value": 0.2})
-            default_seed = _derived_seed(self.seed, _LAYER_INDEX[layer])
-            try:
-                self.residuals[layer] = ResidualConfig.from_mapping(spec, default_seed=default_seed)
-            except ConfigError as exc:
-                raise ConfigError(f"config.residual.{layer.value}: {exc}") from exc
+        for index, layer in enumerate(LAYERS):
+            spec = residual.get(layer.value, {"distribution": "constant", "value": 0.2})
+            with _prefixed(f"config.residual.{layer.value}"):
+                self.residuals[layer] = ResidualConfig.from_mapping(
+                    spec, default_seed=_derived_seed(seed, index))
 
-        conv = raw.get("convergence", {})
-        _expect_keys(conv, {"epsilon", "max_iterations", "norm"}, "config.convergence")
-        try:
+        convergence = _section(raw, "convergence", {"epsilon", "max_iterations", "norm"}, "config")
+        with _prefixed("config.convergence"):
             self.convergence = ConvergenceConfig(
-                epsilon=conv.get("epsilon", 0.001),
-                max_iterations=conv.get("max_iterations", 1000),
-                norm=DeltaNorm(conv.get("norm", "max_abs")),
-            )
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"config.convergence: {exc}") from exc
+                **{**convergence, "norm": DeltaNorm(convergence.get("norm", "max_abs"))})
 
-        self.damping = _check_damping(raw.get("damping", 1.0))
+        with _prefixed("config"):
+            self.damping = _check_damping(raw.get("damping", 1.0))
 
         feed = raw.get("department_feed", "hospital")
         if feed not in ("hospital", "doctor"):
             raise ConfigError(f"config.department_feed: must be hospital or doctor, got {feed!r}")
         self.department_feed = LayerId(feed)
 
-        evaluation = raw.get("evaluation", {})
-        _expect_keys(evaluation, {"ks", "scenarios"}, "config.evaluation")
-        ks_raw = evaluation.get("ks", {})
-        _expect_keys(ks_raw, {layer.value for layer in LAYERS}, "config.evaluation.ks")
-        self.ks: dict[LayerId, list[int]] = {}
-        for layer in LAYERS:
-            ks = ks_raw.get(layer.value, [3])
-            if not isinstance(ks, list) or not all(is_int(k) and k >= 1 for k in ks):
-                raise ConfigError(f"config.evaluation.ks.{layer.value}: must be a list of ints >= 1")
-            self.ks[layer] = ks
-        scenarios = evaluation.get("scenarios", ["uniform", "normal", "skewed"])
-        if not isinstance(scenarios, list) or not all(isinstance(s, str) for s in scenarios):
-            raise ConfigError("config.evaluation.scenarios: must be a list of strings")
-        unknown = set(scenarios) - set(SCENARIO_FAMILIES)
-        if unknown:
-            raise ConfigError(f"config.evaluation.scenarios: unknown {', '.join(sorted(unknown))}")
-        self.scenarios = list(scenarios)
+        evaluation = _section(raw, "evaluation", {"ks", "scenarios"}, "config")
+        ks = _section(evaluation, "ks", layer_keys, "config.evaluation")
+        self.ks: dict[LayerId, list[int]] = {
+            layer: _distinct(ks.get(layer.value, [3]), lambda k: is_int(k) and k >= 1,
+                             f"config.evaluation.ks.{layer.value}", "ints >= 1")
+            for layer in LAYERS}
+        families = list(SCENARIO_FAMILIES)
+        names = _distinct(evaluation.get("scenarios", families),
+                          lambda name: isinstance(name, str) and name in SCENARIO_FAMILIES,
+                          "config.evaluation.scenarios", f"scenario names {families}")
+        self.scenarios: dict[str, dict[LayerId, ResidualConfig]] = {
+            name: {layer: SCENARIO_FAMILIES[name](_derived_seed(seed, index, families.index(name)))
+                   for index, layer in enumerate(LAYERS)}
+            for name in names}
 
-        stress = raw.get("stress", {})
-        _expect_keys(stress, {"method", "concentration", "seeds"}, "config.stress")
-        try:
-            method = GeneratorMethod(stress.get("method", "identity"))
-        except ValueError:
-            raise ConfigError(f"config.stress.method: unknown method {stress.get('method')!r}") from None
-        seeds = stress.get("seeds", [self.seed])
-        if not isinstance(seeds, list) or not all(is_int(s) and s >= 0 for s in seeds):
-            raise ConfigError("config.stress.seeds: must be a list of non-negative integers")
-        try:
-            self.stress = GeneratorConfig(method=method,
-                                          concentration=stress.get("concentration", 1000.0),
-                                          seed=seeds[0] if seeds else 0)
-        except ConfigError as exc:
-            raise ConfigError(f"config.stress: {exc}") from exc
-        self.stress_seeds = seeds
+        stress = _section(raw, "stress", {"method", "concentration", "seeds"}, "config")
+        with _prefixed("config.stress"):
+            self.stress = GeneratorConfig(method=GeneratorMethod(stress.get("method", "identity")),
+                                          concentration=stress.get("concentration", 1000.0))
+        self.stress_seeds: list[int] = _distinct(
+            stress.get("seeds", [seed]), lambda s: is_int(s) and s >= 0, "config.stress.seeds",
+            "non-negative integers")
 
 
 def load_config(path: str, out_override: str | None, seed_override: int | None) -> RunConfig:
@@ -255,11 +253,8 @@ def cmd_eval(config: RunConfig) -> int:
     trusts = derive_network_trust(network)
     truths = ground_truth_ratings(store)
     reports: list[MetricsReport] = []
-    for scenario_index, scenario in enumerate(config.scenarios):
-        family = SCENARIO_FAMILIES[scenario]
-        scored = _score(config, network, trusts, {
-            layer: family(_derived_seed(config.seed, _LAYER_INDEX[layer], scenario_index))
-            for layer in LAYERS})
+    for scenario, residual_configs in config.scenarios.items():
+        scored = _score(config, network, trusts, residual_configs)
         for layer in LAYERS:
             scores = dict(zip(scored[layer].result.scores.entity_ids,
                               scored[layer].result.scores.values.tolist()))

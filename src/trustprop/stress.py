@@ -11,7 +11,7 @@ artifact format, belongs to :mod:`bundle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -129,12 +129,12 @@ def read_edge_table(path) -> EdgeTable:
     must be positive and finite."""
     columns: tuple[list, ...] = ([], [], [], [])
     for line, row in read_csv(path, EDGE_TABLE_SCHEMA, _EDGE_HEADER):
+        tag, src, dst, raw = row
         try:
-            tag, src, dst, raw = row
             trust = float(raw)
         except ValueError:
             raise MalformedRowError(str(path), line,
-                                    f"expected layer,src,dst,trust, got {row!r}") from None
+                                    f"trust is not a number in {row!r}") from None
         if tag not in _TAGS or not 0 < trust < math.inf:
             raise MalformedRowError(str(path), line,
                                     f"unknown layer tag or non-positive trust in {row!r}")
@@ -262,9 +262,7 @@ def run_stress(
     residuals = {layer: scores.residual for layer, scores in true_scores.items()}
     runs: list[StressRun] = []
     for seed in seeds:
-        config = GeneratorConfig(method=generator.method,
-                                 concentration=generator.concentration, seed=seed)
-        synth_table = generate_synthetic(table, config)
+        synth_table = generate_synthetic(table, replace(generator, seed=seed))
         rebuilt, rebuild_report = rebuild_trust(synth_table, shapes)
         synth_trusts = trust_network_from_tags(rebuilt)
         synth_scores = score_network(synth_trusts, residuals, convergence,

@@ -105,6 +105,24 @@ def test_seed_override_changes_scenario_draws(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() != (out_b / "metrics.csv").read_bytes()
 
 
+def test_scenario_draws_do_not_depend_on_the_scenario_list(tmp_path):
+    config = json.loads((DEMO / "config.json").read_text())
+    for key, value in config["inputs"].items():
+        config["inputs"][key] = str(DEMO / value)
+    config["evaluation"]["scenarios"] = ["normal"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    run_pipeline(DEMO / "config.json", tmp_path / "default", commands=("build", "eval"))
+    run_pipeline(config_path, tmp_path / "normal", commands=("build", "eval"))
+
+    def normal_rows(out_dir):
+        reports = json.loads((out_dir / "metrics.json").read_text())["reports"]
+        return [report for report in reports if report["scenario"] == "normal"]
+
+    assert normal_rows(tmp_path / "normal")
+    assert normal_rows(tmp_path / "normal") == normal_rows(tmp_path / "default")
+
+
 def test_stress_outputs_pair_table(out):
     run_pipeline(DEMO / "config.json", out)
     pairs = read_csv(out / "stress_pairs.csv")
@@ -223,6 +241,9 @@ def test_trust_json_holds_the_derived_trust(out):
     lambda c: c.update(stress=[1]),
     lambda c: c["inputs"].update(doctors=5),
     lambda c: c.update(out_dir=5),
+    lambda c: c["evaluation"].update(scenarios=["uniform", "uniform"]),
+    lambda c: c["evaluation"]["ks"].update(hospital=[2, 2]),
+    lambda c: c["stress"].update(seeds=[11, 11]),
 ])
 def test_invalid_config_exits_three(tmp_path, out, mutate):
     config = json.loads((DEMO / "config.json").read_text())
@@ -276,6 +297,7 @@ def _set_final(text, value):
     lambda t: _set_final(t, "abc"),
     lambda t: t.replace(",final,", ",fnal,", 1),
     lambda t: t + "H4,0.2,0.2,0.99,1,true\n",  # a second H4 row
+    lambda t: t.replace("\nH2,", ",extra\nH2,", 1),  # a seventh field on the H1 row
 ])
 def test_corrupt_scores_file_exits_two(out, corrupt):
     run_pipeline(DEMO / "config.json", out, commands=("build", "score"))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from test_builder import random_store
 from trustprop import (
     ConvergenceConfig,
     DeltaNorm,
@@ -10,12 +11,15 @@ from trustprop import (
     ResidualConfig,
     ScoreVector,
     TrustMatrix,
+    build_network,
     closed_form_score,
+    derive_network_trust,
     generate_residual,
     initial_score,
     propagate,
     score_network,
 )
+from trustprop.builder import SimilarityMode
 from trustprop.errors import ConfigError, InputError
 from trustprop.model import ScoreKind
 
@@ -282,3 +286,56 @@ def test_score_network_department_layer_oscillates(demo_network, demo_trust):
     assert not dept.converged and dept.iterations == 50
     assert scored[LayerId.HOSPITAL].result.converged
     assert scored[LayerId.DOCTOR].result.converged
+
+
+# --- propagation limit ---
+
+def _components(weights):
+    """Connected components of a symmetric weight matrix, each found by its own BFS."""
+    unseen = set(range(len(weights)))
+    while unseen:
+        frontier = [unseen.pop()]
+        component = list(frontier)
+        while frontier:
+            node = frontier.pop()
+            for other in np.flatnonzero(weights[node] > 0).tolist():
+                if other in unseen:
+                    unseen.remove(other)
+                    frontier.append(other)
+                    component.append(other)
+        yield np.array(component)
+
+
+def test_propagation_limit_spreads_each_component_mass_by_degree(demo_store):
+    """The damped iteration settles at d_j * m(C) / vol(C): a component's mass
+    m(C), shared in proportion to weighted degree d_j (vol(C) is the sum of
+    d over C); an isolated node ends at 0."""
+    from test_builder import random_store
+    from trustprop import build_network, derive_network_trust
+    from trustprop.builder import SimilarityMode
+
+    rng = np.random.default_rng(23)
+    stores = [demo_store] + [
+        random_store(rng, n_hospitals=int(rng.integers(1, 8)),
+                     n_departments=int(rng.integers(1, 9)), n_doctors=int(rng.integers(1, 12)))
+        for _ in range(100)]
+    config = ConvergenceConfig(epsilon=1e-13, max_iterations=100000)
+    for store in stores:
+        for mode in SimilarityMode:
+            network = build_network(store, mode)
+            trusts = derive_network_trust(network)
+            for layer in LayerId:
+                weights = network.intra[layer].weights
+                ids = network.node_ids(layer)
+                s0 = ScoreVector(layer=layer, kind=ScoreKind.INITIAL, entity_ids=ids,
+                                 values=rng.random(len(ids)))
+                result = propagate(s0, trusts.intra[layer], config, damping=0.85)
+                assert result.converged, (mode, layer)
+                degree = weights.sum(axis=1)
+                want = np.zeros(len(ids))
+                for component in _components(weights):
+                    volume = degree[component].sum()
+                    if volume > 0:
+                        want[component] = (degree[component] * s0.values[component].sum()
+                                           / volume)
+                assert np.abs(result.scores.values - want).max(initial=0.0) <= 1e-9, (mode, layer)
