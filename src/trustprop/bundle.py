@@ -198,7 +198,7 @@ format_float = "{:.12g}".format
 _SCORES_HEADER = ("entity_id", "residual", "initial", "final", "iterations", "converged")
 
 
-def write_scores_csv(layer: LayerId, scores: LayerScores, path) -> None:
+def write_scores_csv(scores: LayerScores, path) -> None:
     result = scores.result
     write_csv(path, SCORES_CSV_SCHEMA, _SCORES_HEADER, zip(
         scores.residual.entity_ids,
@@ -226,7 +226,7 @@ def read_scores_csv(path) -> dict[str, float]:
     return out
 
 
-def write_convergence_csv(layer: LayerId, scores: LayerScores, path) -> None:
+def write_convergence_csv(scores: LayerScores, path) -> None:
     write_csv(path, TRACE_CSV_SCHEMA, ("iteration", "delta"),
               enumerate(map(format_float, scores.result.deltas), start=1))
 

@@ -73,10 +73,13 @@ def _prefixed(context: str) -> Iterator[None]:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _distinct(values, valid, context: str, what: str) -> list:
-    """``values`` once it is a list of distinct entries that are all ``valid``."""
+def _distinct(values, valid, context: str, what: str, *, empty_ok: bool = False) -> list:
+    """``values`` once it is a list of distinct entries that are all ``valid``, not empty
+    unless ``empty_ok``."""
     if not isinstance(values, list) or not all(valid(v) for v in values):
         raise ConfigError(f"{context}: must be a list of {what}, got {values!r}")
+    if not (values or empty_ok):
+        raise ConfigError(f"{context}: must not be empty, since an empty list asks for no work")
     if len(set(values)) < len(values):
         raise ConfigError(f"{context}: entries must be distinct, got {values!r}")
     return values
@@ -143,7 +146,7 @@ class RunConfig:
         ks = _section(evaluation, "ks", layer_keys, "config.evaluation")
         self.ks: dict[LayerId, list[int]] = {
             layer: _distinct(ks.get(layer.value, [3]), lambda k: is_int(k) and k >= 1,
-                             f"config.evaluation.ks.{layer.value}", "ints >= 1")
+                             f"config.evaluation.ks.{layer.value}", "ints >= 1", empty_ok=True)
             for layer in LAYERS}
         families = list(SCENARIO_FAMILIES)
         names = _distinct(evaluation.get("scenarios", families),
@@ -226,9 +229,8 @@ def cmd_score(config: RunConfig) -> int:
     trusts = derive_network_trust(network)
     scored = _score(config, network, trusts, config.residuals)
     for layer, layer_scores in scored.items():
-        bundle.write_scores_csv(layer, layer_scores, config.out_dir / f"scores_{layer.value}.csv")
-        bundle.write_convergence_csv(layer, layer_scores,
-                                     config.out_dir / f"convergence_{layer.value}.csv")
+        bundle.write_scores_csv(layer_scores, config.out_dir / f"scores_{layer.value}.csv")
+        bundle.write_convergence_csv(layer_scores, config.out_dir / f"convergence_{layer.value}.csv")
         result = layer_scores.result
         if not result.converged:
             log.warning("%s layer did not converge within %d iterations (last delta %.3g)",
@@ -317,13 +319,14 @@ def cmd_report(config: RunConfig) -> int:
     return 0
 
 
+#: each command's function and its help text
 _COMMANDS = {
-    "build": cmd_build,
-    "trust": cmd_trust,
-    "score": cmd_score,
-    "eval": cmd_eval,
-    "stress": cmd_stress,
-    "report": cmd_report,
+    "build": (cmd_build, "parse and clean the entity CSVs, build the network bundle"),
+    "trust": (cmd_trust, "derive trust matrices and histogram/edge-table data"),
+    "score": (cmd_score, "compute social scores and convergence traces"),
+    "eval": (cmd_eval, "compare scores and baselines against ground-truth ratings"),
+    "stress": (cmd_stress, "regenerate trust synthetically, rescore, and compare"),
+    "report": (cmd_report, "summarize the artifacts in the output directory"),
 }
 
 
@@ -332,15 +335,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="trustprop",
         description="Build trust networks from healthcare entity tables and score them.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "build": "parse and clean the entity CSVs, build the network bundle",
-        "trust": "derive trust matrices and histogram/edge-table data",
-        "score": "compute social scores and convergence traces",
-        "eval": "compare scores and baselines against ground-truth ratings",
-        "stress": "regenerate trust synthetically, rescore, and compare",
-        "report": "summarize the artifacts in the output directory",
-    }
-    for name, description in descriptions.items():
+    for name, (_, description) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", default=None, help="output directory (overrides the config)")
@@ -354,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.out, args.seed)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         log.error("%s", exc)
         return 3

@@ -94,7 +94,10 @@ class EntityStore:
 
 # --- cell parsers ---
 
-def _parse_members(cell: str, path: str, line: int, what: str) -> tuple[frozenset[str], dict[str, float]]:
+def _parse_members(cell: str, path: str, line: int, what: str,
+                   weighted: bool = False) -> tuple[frozenset[str], dict[str, float]]:
+    """Ids of a ``;``-separated membership cell and their ``id:weight`` weights, which
+    only a ``weighted`` cell (one of departments.csv) may carry."""
     ids: set[str] = set()
     weights: dict[str, float] = {}
     for part in cell.split(";"):
@@ -104,6 +107,9 @@ def _parse_members(cell: str, path: str, line: int, what: str) -> tuple[frozense
         if ":" in part:
             ident, _, raw = part.partition(":")
             ident = ident.strip()
+            if not weighted:
+                raise MalformedRowError(path, line, f"{what}: weight given for {ident!r}, but "
+                                        "membership weights are read only from departments.csv")
             try:
                 weight = float(raw)
             except ValueError:
@@ -255,8 +261,10 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
 
     ppath = str(Path(departments_path))
     for line, ident, cells in _read_rows(ppath, DEPARTMENT_COLUMNS, digest):
-        doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], ppath, line, "doctor_ids")
-        hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], ppath, line, "hospital_ids")
+        doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], ppath, line, "doctor_ids",
+                                                    weighted=True)
+        hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], ppath, line,
+                                                        "hospital_ids", weighted=True)
         store.departments[ident] = DepartmentRecord(
             id=ident,
             name=cells["name"].strip(),

@@ -8,9 +8,10 @@ lexicographic order of the entity identifiers and is fixed when the network is
 built.
 
 Matrices are dense ``numpy`` arrays, frozen read-only after construction so
-instances can be shared across threads. Everything that consumes a block goes
-through the ``weights``/``values`` attribute and its ``row_ids``/``col_ids``
-labels, which is the seam a sparse backend could slot into later. The moves
+instances can be shared across threads. ``AdjacencyBlock`` and ``TrustMatrix``
+share one base, ``_LabelledMatrix``, which owns the row and column labels and
+everything read from them. That base is the one storage seam: a sparse backend
+behind the ``weights``/``values`` attributes would slot in there. The moves
 between a matrix and its nonzero cells (``nonzero_cells``, ``from_cells``) and
 the checks on cell values (``cell_violations``) live here and nowhere else.
 """
@@ -52,7 +53,7 @@ INTER_LAYER_PAIRS = (
 def _freeze_matrix(instance, attr: str, label: str) -> None:
     """Store ``instance.attr`` as a read-only float matrix shaped by its row and column ids."""
     arr = np.asarray(getattr(instance, attr), dtype=float)
-    expected = (len(instance.row_ids), len(instance.col_ids))
+    expected = instance.shape
     if arr.shape != expected:
         raise InputError(f"{label}: {attr} shape {arr.shape} does not match "
                          f"{expected[0]} row ids x {expected[1]} col ids")
@@ -138,54 +139,19 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
 
 
 @dataclass(frozen=True)
-class AdjacencyBlock:
-    """A weighted block of the supra-adjacency structure.
+class _LabelledMatrix:
+    """A matrix whose rows are one layer's entities and whose columns are another's.
 
-    Intra-layer blocks (rows == cols) hold attribute-overlap similarity counts;
-    inter-layer blocks hold belongs-to weights. Value-level invariants
-    (symmetry, zero diagonal, non-negativity) are reported by
-    :func:`validate_network` rather than enforced here, so that a block built
-    from bad data can be inspected instead of being unrepresentable. Which
-    blocks a network holds, and their id order, :class:`MultiLayerNetwork`
-    enforces at construction.
+    The labels (``rows``, ``cols``, ``row_ids``, ``col_ids``) and what they
+    imply (``is_intra``, ``tag``, ``shape``) live here; each subclass adds its
+    matrix field, frozen by :func:`_freeze_matrix` to the ids' shape, and the
+    ``violations`` of its cells.
     """
 
     rows: LayerId
     cols: LayerId
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _freeze_matrix(self, "weights", f"{self.rows.value}x{self.cols.value} block")
-
-    @property
-    def is_intra(self) -> bool:
-        return self.rows is self.cols
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape
-
-
-@dataclass(frozen=True)
-class TrustMatrix:
-    """Row-stochastic trust derived from an adjacency block.
-
-    Each row is the source entity's trust distribution over targets: rows sum
-    to 1 within 1e-9, except rows whose source had no edges, which stay all
-    zero. ``violations`` reports breaches instead of the constructor raising,
-    for the same inspectability reason as AdjacencyBlock.
-    """
-
-    rows: LayerId
-    cols: LayerId
-    row_ids: tuple[str, ...]
-    col_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        _freeze_matrix(self, "values", f"{self.tag} trust matrix")
 
     @property
     def is_intra(self) -> bool:
@@ -194,13 +160,51 @@ class TrustMatrix:
     @property
     def tag(self) -> str:
         """Edge-table tag: h/d/p for intra, hd/dh/dp/pd for inter."""
-        if self.rows is self.cols:
-            return self.rows.tag
-        return self.rows.tag + self.cols.tag
+        return self.rows.tag if self.is_intra else self.rows.tag + self.cols.tag
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        return len(self.row_ids), len(self.col_ids)
+
+
+@dataclass(frozen=True)
+class AdjacencyBlock(_LabelledMatrix):
+    """A weighted block of the supra-adjacency structure.
+
+    Intra-layer blocks (rows == cols) hold attribute-overlap similarity counts;
+    inter-layer blocks hold belongs-to weights. Value-level invariants
+    (symmetry, zero diagonal, non-negativity) are reported by ``violations``
+    rather than enforced here, so that a block built from bad data can be
+    inspected instead of being unrepresentable. Which blocks a network holds,
+    and their id order, :class:`MultiLayerNetwork` enforces at construction.
+    """
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        _freeze_matrix(self, "weights", f"{self.rows.value}x{self.cols.value} block")
+
+    def violations(self) -> list[str]:
+        label = (f"{self.rows.value} intra block" if self.is_intra
+                 else f"{self.rows.value}x{self.cols.value} block")
+        return cell_violations(label, self.weights, self.row_ids, self.col_ids,
+                               square=self.is_intra, symmetric=self.is_intra)
+
+
+@dataclass(frozen=True)
+class TrustMatrix(_LabelledMatrix):
+    """Row-stochastic trust derived from an adjacency block.
+
+    Each row is the source entity's trust distribution over targets: rows sum
+    to 1 within 1e-9, except rows whose source had no edges, which stay all
+    zero. ``violations`` reports breaches instead of the constructor raising,
+    for the same inspectability reason as AdjacencyBlock.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        _freeze_matrix(self, "values", f"{self.tag} trust matrix")
 
     def violations(self) -> list[str]:
         return cell_violations(f"{self.tag} trust", self.values, self.row_ids, self.col_ids,
@@ -290,13 +294,6 @@ def validate_network(network: MultiLayerNetwork) -> list[str]:
     for the caller, not failures: the function never raises on bad values and
     never mutates the network.
     """
-    out: list[str] = []
-    for layer in LAYERS:
-        ids = network.node_ids(layer)
-        out += cell_violations(f"{layer.value} intra block", network.intra[layer].weights, ids, ids,
-                               square=True, symmetric=True)
-    for rows, cols in INTER_LAYER_PAIRS:
-        block = network.inter[(rows, cols)]
-        out += cell_violations(f"{rows.value}x{cols.value} block", block.weights, block.row_ids,
-                               block.col_ids, square=False)
-    return out
+    blocks = [network.intra[layer] for layer in LAYERS] + [network.inter[pair]
+                                                           for pair in INTER_LAYER_PAIRS]
+    return [problem for block in blocks for problem in block.violations()]

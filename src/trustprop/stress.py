@@ -202,9 +202,7 @@ def rebuild_trust(table: EdgeTable,
             dropped[tag] = int((~keep).sum())
         grid = from_cells(template.shape, rows[keep], cols[keep], table.trust[group][keep],
                           f"{tag} edges")
-        matrices[tag] = TrustMatrix(rows=template.rows, cols=template.cols,
-                                    row_ids=template.row_ids, col_ids=template.col_ids,
-                                    values=_normalize_rows(grid))
+        matrices[tag] = replace(template, values=_normalize_rows(grid))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)
     return matrices, report

@@ -75,9 +75,7 @@ class TrustNetwork:
     inter: dict[tuple[LayerId, LayerId], TrustMatrix]
 
     def by_tag(self) -> dict[str, TrustMatrix]:
-        out = {m.tag: m for m in self.intra.values()}
-        out.update({m.tag: m for m in self.inter.values()})
-        return out
+        return {m.tag: m for m in self.all_matrices()}
 
     def all_matrices(self) -> list[TrustMatrix]:
         return [self.intra[layer] for layer in LAYERS] + [

@@ -192,7 +192,7 @@ def test_scores_csv_round_trip(tmp_path, demo_network, demo_trust):
     }
     scored = score_network(demo_trust, residuals, ConvergenceConfig())
     path = tmp_path / "scores.csv"
-    write_scores_csv(LayerId.HOSPITAL, scored[LayerId.HOSPITAL], path)
+    write_scores_csv(scored[LayerId.HOSPITAL], path)
     finals = read_scores_csv(path)
     want = scored[LayerId.HOSPITAL].result.scores
     assert set(finals) == set(want.entity_ids)

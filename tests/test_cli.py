@@ -244,6 +244,8 @@ def test_trust_json_holds_the_derived_trust(out):
     lambda c: c["evaluation"].update(scenarios=["uniform", "uniform"]),
     lambda c: c["evaluation"]["ks"].update(hospital=[2, 2]),
     lambda c: c["stress"].update(seeds=[11, 11]),
+    lambda c: c["stress"].update(seeds=[]),
+    lambda c: c["evaluation"].update(scenarios=[]),
 ])
 def test_invalid_config_exits_three(tmp_path, out, mutate):
     config = json.loads((DEMO / "config.json").read_text())

@@ -112,6 +112,8 @@ def test_malformed_row_reports_path_and_line(tmp_path):
     "P:2,Doc,H1,D1,7,10,5,80,50,20,true,true",     # id holds the weight separator
     " ,Doc,H1,D1,7,10,5,80,50,20,true,true",       # blank id
     "P2,Doc,H1,D1,7,10,5,80,50,20,true,true,extra",  # more fields than the header
+    "P2,Doc,H1:9,D1,7,10,5,80,50,20,true,true",    # weight on a hospital membership
+    "P2,Doc,H1,D1:3,7,10,5,80,50,20,true,true",    # weight on a department membership
 ])
 def test_bad_doctor_rows_rejected(tmp_path, row):
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR, row],
@@ -130,6 +132,15 @@ def test_bad_hospital_and_department_ids_rejected(tmp_path, hospitals, departmen
     paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=hospitals,
                          departments=departments)
     with pytest.raises(MalformedRowError, match=r":\d+: id: "):
+        parse(paths)
+
+
+def test_weighted_hospital_membership_rejected(tmp_path):
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR],
+                         hospitals=["H1,Hosp One,4.0,3,NABH,urban,D1:7"],
+                         departments=[GOOD_DEPARTMENT])
+    with pytest.raises(MalformedRowError, match=r"hospitals\.csv:2: department_ids: weight given "
+                                                 r"for 'D1'.* read only from departments\.csv"):
         parse(paths)
 
 

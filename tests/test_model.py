@@ -116,6 +116,13 @@ def test_validate_network_reports_non_finite_weights(demo_network):
     problems = validate_network(network)
     assert any(p.startswith("doctor intra block: non-finite weight inf") for p in problems)
     assert any(p.startswith("departmentxdoctor block: non-finite weight nan") for p in problems)
+    own = intra[LayerId.DOCTOR].violations() + inter[pair].violations()
+    assert own and sorted(own) == sorted(problems)
+
+
+def test_demo_block_tags(demo_network):
+    tags = [block.tag for block in (*demo_network.intra.values(), *demo_network.inter.values())]
+    assert sorted(tags) == sorted(["h", "d", "p", "hd", "dp"])
 
 
 def test_network_structure_enforced_at_construction(demo_network):
