@@ -185,7 +185,12 @@ def _load_network(config: RunConfig) -> MultiLayerNetwork:
     path = _network_path(config)
     if not path.exists():
         raise InputError(f"{path} not found; run the build command first")
-    return bundle.load_network(path)
+    network = bundle.load_network(path)
+    built_mode = network.provenance.get("similarity_mode")
+    if built_mode != config.similarity_mode.value:
+        raise InputError(f"{path} was built with similarity_mode {built_mode!r}, but the config "
+                         f"asks for {config.similarity_mode.value!r}; run the build command again")
+    return network
 
 
 def _score(config: RunConfig, network: MultiLayerNetwork, trusts: TrustNetwork,

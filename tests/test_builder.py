@@ -53,6 +53,36 @@ def random_store(rng, n_hospitals=4, n_departments=4, n_doctors=6):
     return EntityStore(doctors=doctors, hospitals=hospitals, departments=departments)
 
 
+def messy_store(rng, n_hospitals=4, n_departments=4, n_doctors=6):
+    """A random store as raw tables may hold it, with no cleaning applied.
+
+    Every record draws its memberships on its own, so some are declared on one
+    side only, and ids X1 and X2 name no entity. About a third of the doctors
+    have no qualification score. Each department carries explicit weights, 0
+    among them, on declared pairs, undeclared pairs and the unknown ids. A size
+    of 0 leaves that layer empty.
+    """
+    h_ids = [f"H{i}" for i in range(n_hospitals)]
+    d_ids = [f"D{i}" for i in range(n_departments)]
+    p_ids = [f"P{i}" for i in range(n_doctors)]
+
+    def some(ids):
+        pool = [*ids, "X1", "X2"]
+        return set(rng.choice(pool, size=rng.integers(0, len(pool) + 1), replace=False).tolist())
+
+    def weights(ids):
+        return {i: float(rng.choice([0.0, 0.5, 1.0, 3.0])) for i in sorted(some(ids))}
+
+    doctors = {p: make_doctor(p, some(h_ids), some(d_ids),
+                              score=None if rng.random() < 0.3 else float(rng.integers(0, 11)))
+               for p in p_ids}
+    hospitals = {h: make_hospital(h, some(d_ids)) for h in h_ids}
+    departments = {d: make_department(d, some(p_ids), some(h_ids), doctor_weights=weights(p_ids),
+                                      hospital_weights=weights(h_ids))
+                   for d in d_ids}
+    return EntityStore(doctors=doctors, hospitals=hospitals, departments=departments)
+
+
 @pytest.mark.parametrize("mode", list(SimilarityMode))
 def test_intra_blocks_match_pairwise_set_formula(mode):
     rng = np.random.default_rng(5)
@@ -104,18 +134,54 @@ def test_node_order_is_lexicographic(demo_store):
 
 
 def test_co_affiliation_matches_brute_force():
+    """Both belongs-to blocks, cell by cell, against their rule written out per pair."""
     rng = np.random.default_rng(42)
-    for _ in range(25):
-        store = random_store(rng)
-        block = build_inter_layer(store, LayerId.HOSPITAL, LayerId.DEPARTMENT)
-        for i, h in enumerate(block.row_ids):
-            for j, d in enumerate(block.col_ids):
+    seen = set()
+    for _ in range(60):
+        store = messy_store(rng, *(int(n) for n in rng.integers(0, 5, size=3)))
+        seen |= {f"no {kind}" for kind, records in
+                 (("hospitals", store.hospitals), ("departments", store.departments),
+                  ("doctors", store.doctors)) if not records}
+        hd = build_inter_layer(store, LayerId.HOSPITAL, LayerId.DEPARTMENT)
+        assert (hd.row_ids, hd.col_ids) == (tuple(sorted(store.hospitals)),
+                                            tuple(sorted(store.departments)))
+        for i, h in enumerate(hd.row_ids):
+            for j, d in enumerate(hd.col_ids):
                 dept = store.departments[d]
-                member = d in store.hospitals[h].department_ids or h in dept.hospital_ids
                 count = sum(1 for doc in store.doctors.values()
                             if h in doc.hospital_ids and d in doc.department_ids)
-                want = 0.0 if not member else (float(count) if count else 1.0)
-                assert block.weights[i, j] == want, (h, d)
+                if not (d in store.hospitals[h].department_ids or h in dept.hospital_ids):
+                    case, want = f"hd undeclared{' weighted' * (h in dept.hospital_weights)}", 0.0
+                elif h in dept.hospital_weights:
+                    want = dept.hospital_weights[h]
+                    case = f"hd explicit{' 0' * (want == 0)}"
+                else:
+                    case, want = ("hd count", float(count)) if count else ("hd no doctor", 1.0)
+                seen.add(case)
+                assert hd.weights[i, j] == want, (h, d)
+        dp = build_inter_layer(store, LayerId.DEPARTMENT, LayerId.DOCTOR)
+        assert (dp.row_ids, dp.col_ids) == (hd.col_ids, tuple(sorted(store.doctors)))
+        for i, d in enumerate(dp.row_ids):
+            for j, p in enumerate(dp.col_ids):
+                dept = store.departments[d]
+                score = store.doctors[p].qualification_score
+                if p not in dept.doctor_ids:
+                    case, want = f"dp undeclared{' weighted' * (p in dept.doctor_weights)}", 0.0
+                elif p in dept.doctor_weights:
+                    want = dept.doctor_weights[p]
+                    case = f"dp explicit{' 0' * (want == 0)}"
+                else:
+                    case, want = ("dp score", score) if score is not None else ("dp no score", 0.0)
+                seen.add(case)
+                assert dp.weights[i, j] == want, (d, p)
+    # every path of both rules ran, empty layers included
+    assert seen == {"no hospitals", "no departments", "no doctors",
+                    *(f"{tag} {case}" for tag, cases in
+                      (("hd", ("undeclared", "undeclared weighted", "explicit", "explicit 0",
+                               "count", "no doctor")),
+                       ("dp", ("undeclared", "undeclared weighted", "explicit", "explicit 0",
+                               "score", "no score")))
+                      for case in cases)}
 
 
 def test_membership_gates_hospital_department_cells():

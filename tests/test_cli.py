@@ -199,6 +199,27 @@ def test_eval_on_memberships_changed_since_build_exits_two(tmp_path, out, caplog
     run_pipeline(tmp_path / "config.json", out, commands=("build", "eval"))
 
 
+def test_similarity_mode_changed_since_build_exits_two(tmp_path, out, caplog):
+    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    run_pipeline(tmp_path / "config.json", out, commands=("build",))
+    config = json.loads((tmp_path / "config.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**config, "similarity_mode": "jaccard"}))
+    commands = ("trust", "score", "eval", "stress")
+    for command in commands:
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="trustprop"):
+            assert main([command, "--config", str(tmp_path / "config.json"),
+                         "--out", str(out)]) == 2, command
+        assert any("built with similarity_mode 'intersection_count'" in record.message
+                   and "run the build command again" in record.message
+                   for record in caplog.records), command
+    # no command wrote any of its artifacts
+    assert [path.name for path in out.iterdir()] == ["network.json"]
+    # a fresh build makes every command usable again
+    run_pipeline(tmp_path / "config.json", out, commands=("build", *commands))
+
+
 def test_trust_json_holds_the_derived_trust(out):
     run_pipeline(DEMO / "config.json", out, commands=("build", "trust"))
     trusts = derive_network_trust(load_network(out / "network.json")).by_tag()
