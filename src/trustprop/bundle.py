@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from .stress import EdgeTable, StressRun
     from .trust import TrustNetwork
 
-NETWORK_SCHEMA = 3
+NETWORK_SCHEMA = 4
 TRUST_SCHEMA = 1
 METRICS_SCHEMA = 1
 STRESS_SCHEMA = 1
@@ -96,10 +96,13 @@ def _block_from_payload(payload: Mapping, graphs: Mapping[LayerId, tuple[str, ..
 
 
 def save_network(network: MultiLayerNetwork, path) -> None:
-    """Write each layer's ids once, and each block as its nonzero cells."""
+    """Write each layer's ids and its columns as ``[name, values]`` pairs in
+    order, and each block as its nonzero cells."""
     data = {
         "schema_version": NETWORK_SCHEMA,
-        "layers": {layer.value: {"node_ids": list(network.node_ids(layer))} for layer in LAYERS},
+        "layers": {layer.value: {"node_ids": list(network.node_ids(layer)),
+                                 "columns": list(network.columns.get(layer, {}).items())}
+                   for layer in LAYERS},
         "intra": {layer.value: _block_payload(network.intra[layer]) for layer in LAYERS},
         "inter": {
             f"{pair[0].value}:{pair[1].value}": _block_payload(network.inter[pair])
@@ -121,17 +124,23 @@ def load_network(path) -> MultiLayerNetwork:
         raise InputError(f"{path}: network bundle schema version {version!r} is not supported "
                          f"(expected {NETWORK_SCHEMA})")
     try:
-        node_ids = [data["layers"][layer.value]["node_ids"] for layer in LAYERS]
+        layers = [data["layers"][layer.value] for layer in LAYERS]
+        node_ids = [payload["node_ids"] for payload in layers]
         if not all(isinstance(ids, list) for ids in node_ids):
             raise InputError("each layer's node_ids must be a list")
         graphs = {layer: tuple(ids) for layer, ids in zip(LAYERS, node_ids)}
+        columns = {}
+        for layer, payload in zip(LAYERS, layers):
+            columns[layer] = dict(payload["columns"])
+            if len(columns[layer]) != len(payload["columns"]):
+                raise InputError(f"the {layer.value} layer lists a column name twice")
         intra = {layer: _block_from_payload(data["intra"][layer.value], graphs, layer, layer)
                  for layer in LAYERS}
         inter = {(rows, cols): _block_from_payload(data["inter"][f"{rows.value}:{cols.value}"],
                                                    graphs, rows, cols)
                  for rows, cols in INTER_LAYER_PAIRS}
         network = MultiLayerNetwork(graphs=graphs, intra=intra, inter=inter,
-                                    provenance=data.get("provenance", {}))
+                                    provenance=data.get("provenance", {}), columns=columns)
     except KeyError as exc:
         raise InputError(f"{path}: network bundle lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -20,7 +21,8 @@ import numpy as np
 from . import bundle
 from .builder import SimilarityMode, build_network, layer_attributes
 from .errors import ConfigError, InputError, TrustPropError
-from .ingest import baseline_columns, clean, ground_truth_ratings, parse_store
+from .ingest import (EntityStore, baseline_columns, clean, ground_truth_ratings, inputs_sha256,
+                     parse_store, read_table)
 from .metrics import MetricsReport, layer_reports, top_k_ids
 from .model import LAYERS, LayerId, MultiLayerNetwork
 from .scoring import (
@@ -203,6 +205,15 @@ def _score(config: RunConfig, network: MultiLayerNetwork, trusts: TrustNetwork,
                          config.department_feed)
 
 
+def eval_columns(store: EntityStore, network: MultiLayerNetwork) -> dict[LayerId, dict[str, list]]:
+    """The store's ratings and baseline columns, aligned with the network's node ids."""
+    truths, baselines = ground_truth_ratings(store), baseline_columns(store)
+    return {layer: {"rating": [truths[layer.value].get(i) for i in network.node_ids(layer)],
+                    **{name: [column[i] for i in network.node_ids(layer)]
+                       for name, column in baselines[layer.value].items()}}
+            for layer in LAYERS}
+
+
 def cmd_build(config: RunConfig) -> int:
     store = parse_store(config.inputs["doctors"], config.inputs["hospitals"],
                         config.inputs["departments"])
@@ -213,7 +224,8 @@ def cmd_build(config: RunConfig) -> int:
     if any(dropped.values()):
         log.info("cleaning dropped %s", ", ".join(f"{v} {k}" for k, v in dropped.items() if v))
     network = build_network(cleaned, config.similarity_mode)
-    bundle.save_network(network, _network_path(config))
+    bundle.save_network(replace(network, columns=eval_columns(cleaned, network)),
+                        _network_path(config))
     log.info("wrote %s", _network_path(config))
     return 0
 
@@ -246,19 +258,25 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    store = clean(parse_store(config.inputs["doctors"], config.inputs["hospitals"],
-                              config.inputs["departments"]))
     network = _load_network(config)
-    for layer in LAYERS:
-        ids, _ = layer_attributes(store, layer)
-        if ids != network.node_ids(layer):
-            raise InputError(f"the cleaned input tables' {layer.value} ids differ from those in "
-                             f"{_network_path(config)}; run the build command again")
-    if network.provenance.get("inputs_sha256") != store.provenance["inputs_sha256"]:
-        raise InputError(f"the input tables differ from those {_network_path(config)} was built "
-                         "from; run the build command again")
+    if any("rating" not in network.columns.get(layer, {}) for layer in LAYERS):
+        raise InputError(f"{_network_path(config)} holds no ratings or baselines; "
+                         "run the build command again")
+    paths = [config.inputs[name] for name in ("doctors", "hospitals", "departments")]
+    if inputs_sha256([read_table(p) for p in paths]) != network.provenance.get("inputs_sha256"):
+        # the tables are parsed only to name the first layer whose cleaned ids differ
+        store = clean(parse_store(*paths))
+        for layer in LAYERS:
+            if layer_attributes(store, layer)[0] != network.node_ids(layer):
+                raise InputError(f"the cleaned input tables' {layer.value} ids differ from those "
+                                 f"in {_network_path(config)}; run the build command again")
+        raise InputError(f"the input tables differ from those {_network_path(config)} was "
+                         "built from; run the build command again")
     trusts = derive_network_trust(network)
-    truths = ground_truth_ratings(store)
+    columns = {layer: {name: dict(zip(network.node_ids(layer), values))
+                       for name, values in network.columns[layer].items()} for layer in LAYERS}
+    truths = {layer: {i: v for i, v in columns[layer].pop("rating").items() if v is not None}
+              for layer in LAYERS}
     reports: list[MetricsReport] = []
     for scenario, residual_configs in config.scenarios.items():
         scored = _score(config, network, trusts, residual_configs)
@@ -266,12 +284,11 @@ def cmd_eval(config: RunConfig) -> int:
             scores = dict(zip(scored[layer].result.scores.entity_ids,
                               scored[layer].result.scores.values.tolist()))
             reports += layer_reports(layer.value, "social_score", scenario, scores,
-                                     truths[layer.value], config.ks[layer])
+                                     truths[layer], config.ks[layer])
 
-    baselines = baseline_columns(store)
     for layer in LAYERS:
-        for name, column in baselines[layer.value].items():
-            reports += layer_reports(layer.value, name, "", column, truths[layer.value],
+        for name, column in columns[layer].items():
+            reports += layer_reports(layer.value, name, "", column, truths[layer],
                                      config.ks[layer])
 
     bundle.write_metrics_csv(reports, config.out_dir / "metrics.csv")

@@ -165,17 +165,28 @@ def _parse_bool(cell: str, path: str, line: int, what: str) -> bool:
     return _BOOL_WORDS[word]
 
 
-def _read_rows(path: str, columns: tuple[str, ...], digest):
-    """Yield ``(line, id, cells)`` for each data row; ids must be non-empty,
-    unique in the file, and free of the ``;`` and ``:`` that membership cells
-    use as separators. The file's bytes, as read, also go into ``digest``."""
+def read_table(path) -> bytes:
+    """The bytes of one input table; InputError when it cannot be read."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    # length first, so that bytes moved from one table to the next change the digest
-    digest.update(len(data).to_bytes(8, "big"))
-    digest.update(data)
+
+
+def inputs_sha256(tables: list[bytes]) -> str:
+    """SHA-256 over the input tables' bytes, each led by its length, so that
+    bytes moved from one table to the next change the digest."""
+    digest = hashlib.sha256()
+    for data in tables:
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _read_rows(path: str, data: bytes, columns: tuple[str, ...]):
+    """Yield ``(line, id, cells)`` for each data row of the table ``path``
+    holding ``data``; ids must be non-empty, unique in the file, and free of
+    the ``;`` and ``:`` that membership cells use as separators."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -218,9 +229,9 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
     bytes, by which ``eval`` tells whether a network was built from these tables.
     """
     store = EntityStore()
-    digest = hashlib.sha256()
-    dpath = str(Path(doctors_path))
-    for line, ident, cells in _read_rows(dpath, DOCTOR_COLUMNS, digest):
+    dpath, hpath, ppath = (str(Path(p)) for p in (doctors_path, hospitals_path, departments_path))
+    tables = [read_table(p) for p in (dpath, hpath, ppath)]
+    for line, ident, cells in _read_rows(dpath, tables[0], DOCTOR_COLUMNS):
         hospital_ids, _ = _parse_members(cells["hospital_ids"], dpath, line, "hospital_ids")
         department_ids, _ = _parse_members(cells["department_ids"], dpath, line, "department_ids")
         overall = _parse_float(cells["overall_experience_years"], dpath, line,
@@ -246,8 +257,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
             claimed=_parse_bool(cells["claimed"], dpath, line, "claimed"),
         )
 
-    hpath = str(Path(hospitals_path))
-    for line, ident, cells in _read_rows(hpath, HOSPITAL_COLUMNS, digest):
+    for line, ident, cells in _read_rows(hpath, tables[1], HOSPITAL_COLUMNS):
         department_ids, _ = _parse_members(cells["department_ids"], hpath, line, "department_ids")
         store.hospitals[ident] = HospitalRecord(
             id=ident,
@@ -259,8 +269,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
             department_ids=department_ids,
         )
 
-    ppath = str(Path(departments_path))
-    for line, ident, cells in _read_rows(ppath, DEPARTMENT_COLUMNS, digest):
+    for line, ident, cells in _read_rows(ppath, tables[2], DEPARTMENT_COLUMNS):
         doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], ppath, line, "doctor_ids",
                                                     weighted=True)
         hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], ppath, line,
@@ -274,7 +283,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
             hospital_weights=hospital_weights,
         )
 
-    store.provenance = {"raw": store.counts(), "inputs_sha256": digest.hexdigest()}
+    store.provenance = {"raw": store.counts(), "inputs_sha256": inputs_sha256(tables)}
     return store
 
 

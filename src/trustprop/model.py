@@ -17,6 +17,7 @@ the checks on cell values (``cell_violations``) live here and nowhere else.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -249,12 +250,15 @@ class ScoreVector:
 class MultiLayerNetwork:
     """The built network: each layer's node ids (``graphs``), the three intra
     blocks and the two belongs-to inter blocks, each block indexed by its
-    layers' node ids in that order."""
+    layers' node ids in that order. ``columns`` holds each layer's ``rating``
+    (None when unrated) and then its baselines, as float lists aligned with its
+    node ids; the ``build`` command attaches them for ``eval``."""
 
     graphs: dict[LayerId, tuple[str, ...]]
     intra: dict[LayerId, AdjacencyBlock]
     inter: dict[tuple[LayerId, LayerId], AdjacencyBlock]
     provenance: dict = field(default_factory=dict)
+    columns: dict[LayerId, dict[str, list]] = field(default_factory=dict)
 
     def __post_init__(self):
         if set(self.graphs) != set(LAYERS):
@@ -282,6 +286,14 @@ class MultiLayerNetwork:
                     != (rows, cols, self.node_ids(rows), self.node_ids(cols))):
                 raise InputError(f"{rows.value}x{cols.value} block: ids do not match "
                                  f"the layers' node order")
+        for layer, columns in self.columns.items():
+            for name, values in columns.items():
+                if not (isinstance(name, str) and isinstance(values, list)
+                        and len(values) == len(self.node_ids(layer))
+                        and all(isinstance(v, float) and math.isfinite(v)
+                                or v is None and name == "rating" for v in values)):
+                    raise InputError(f"{layer.value} column {name!r}: must list one finite "
+                                     "number per node id (a rating may be null)")
 
     def node_ids(self, layer: LayerId) -> tuple[str, ...]:
         return self.graphs[layer]

@@ -202,7 +202,7 @@ def rebuild_trust(table: EdgeTable,
             dropped[tag] = int((~keep).sum())
         grid = from_cells(template.shape, rows[keep], cols[keep], table.trust[group][keep],
                           f"{tag} edges")
-        matrices[tag] = replace(template, values=_normalize_rows(grid))
+        matrices[tag] = replace(template, values=_normalize_rows(grid, tag, template.row_ids))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)
     return matrices, report

@@ -22,8 +22,15 @@ from .model import (
 )
 
 
-def _normalize_rows(weights: np.ndarray) -> np.ndarray:
-    sums = weights.sum(axis=1, keepdims=True)
+def _normalize_rows(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
+    """Each row divided by its sum; raises InputError on a row whose sum
+    overflows, which would otherwise divide to a row of zeros."""
+    with np.errstate(over="ignore"):
+        sums = weights.sum(axis=1, keepdims=True)
+    overflowed = np.flatnonzero(~np.isfinite(sums))
+    if overflowed.size:
+        raise InputError(f"{tag} trust: the weights of {row_ids[overflowed[0]]} sum past "
+                         "the float range")
     out = np.zeros_like(weights, dtype=float)
     np.divide(weights, sums, out=out, where=sums > 0)
     return out
@@ -39,7 +46,7 @@ def derive_trust(block: AdjacencyBlock) -> TrustMatrix:
         cols=block.cols,
         row_ids=block.row_ids,
         col_ids=block.col_ids,
-        values=_normalize_rows(block.weights),
+        values=_normalize_rows(block.weights, block.tag, block.row_ids),
     )
 
 
@@ -58,7 +65,7 @@ def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
         cols=block.rows,
         row_ids=block.col_ids,
         col_ids=block.row_ids,
-        values=_normalize_rows(block.weights.T),
+        values=_normalize_rows(block.weights.T, block.cols.tag + block.rows.tag, block.col_ids),
     )
 
 

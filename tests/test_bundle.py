@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from trustprop.bundle import (
     write_scores_csv,
     write_trust_values_csv,
 )
+from trustprop.cli import eval_columns
 from trustprop.errors import InputError
 from trustprop.ingest import EntityStore, ground_truth_ratings
 from trustprop.scoring import ConvergenceConfig, ResidualConfig, generate_residual, score_network
@@ -126,10 +128,16 @@ def repeat_first_cell(block, weight=None):
     lambda p: repeat_first_cell(p["inter"]["department:doctor"], weight=1000.0),
     lambda p: repeat_first_cell(p["intra"]["hospital"]),
     lambda p: p["layers"]["hospital"].update(node_ids="WXYZ"),
+    lambda p: p["layers"]["doctor"]["columns"][0][1].__setitem__(0, float("nan")),
+    lambda p: p["layers"]["hospital"]["columns"][1][1].pop(),
+    lambda p: p["layers"]["department"]["columns"][1][1].__setitem__(0, None),
+    lambda p: p["layers"]["doctor"]["columns"][2][1].__setitem__(0, "3.0"),
+    lambda p: p.update(schema_version=3),
+    lambda p: p["layers"]["hospital"]["columns"].append(p["layers"]["hospital"]["columns"][1]),
 ])
-def test_malformed_network_bundle_rejected(tmp_path, demo_network, mutate):
+def test_malformed_network_bundle_rejected(tmp_path, demo_network, demo_store, mutate):
     path = tmp_path / "network.json"
-    save_network(demo_network, path)
+    save_network(replace(demo_network, columns=eval_columns(demo_store, demo_network)), path)
     payload = json.loads(path.read_text())
     mutate(payload)
     path.write_text(json.dumps(payload))

@@ -8,11 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import random
+import warnings
+
 import pytest
 
-from trustprop import bundle, derive_network_trust
+import trustprop
+import trustprop.cli
+import trustprop.ingest
+from trustprop import build_network, bundle, clean, derive_network_trust, parse_store
 from trustprop.bundle import load_network
-from trustprop.cli import main
+from trustprop.cli import _score, load_config, main
+from trustprop.ingest import baseline_columns, ground_truth_ratings
+from trustprop.metrics import layer_reports
+from trustprop.model import LAYERS
 
 DEMO = Path(__file__).parent / "fixtures" / "demo"
 
@@ -218,6 +227,119 @@ def test_similarity_mode_changed_since_build_exits_two(tmp_path, out, caplog):
     assert [path.name for path in out.iterdir()] == ["network.json"]
     # a fresh build makes every command usable again
     run_pipeline(tmp_path / "config.json", out, commands=("build", *commands))
+
+
+def test_eval_parses_no_table_after_build(out, monkeypatch):
+    run_pipeline(DEMO / "config.json", out, commands=("build",))
+
+    def refuse(*_):
+        raise AssertionError("eval parsed the input tables")
+
+    for module in (trustprop, trustprop.cli, trustprop.ingest):
+        monkeypatch.setattr(module, "parse_store", refuse)
+        monkeypatch.setattr(module, "clean", refuse)
+    assert main(["eval", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
+    assert (out / "metrics.csv").exists()
+
+
+def write_generated_tables(directory, seed=3, doctors=40):
+    """Seeded tables where about a third of the doctors have no like percentage
+    and some hospitals no rating, beside a copy of the demo config."""
+    rng = random.Random(seed)
+    hospitals = [f"H{i}" for i in range(6)]
+    departments = [f"D{i}" for i in range(8)]
+    members = {f"P{i:02d}": rng.sample(departments, rng.randint(1, 2)) for i in range(doctors)}
+    tables = {
+        "doctors": [("id", "name", "hospital_ids", "department_ids", "qualification_score",
+                     "overall_experience_years", "specialist_experience_years", "like_pct",
+                     "vote_count", "review_count", "verified", "claimed")] + [
+            (p, p, ";".join(rng.sample(hospitals, rng.randint(1, 3))), ";".join(ds),
+             rng.randint(1, 10), 12, 6, "" if rng.random() < 0.35 else rng.randint(40, 100),
+             rng.randint(0, 200), rng.randint(0, 3), "true", "true")
+            for p, ds in members.items()],
+        "hospitals": [("id", "name", "rating", "stories_count", "accreditation",
+                       "location_category", "department_ids")] + [
+            (h, h, rng.choice(["", "3.5", "4.0", "4.5"]), rng.randint(0, 9), "", "urban",
+             ";".join(rng.sample(departments, 3)))
+            for h in hospitals],
+        "departments": [("id", "name", "doctor_ids", "hospital_ids")] + [
+            (d, d, ";".join(p for p, ds in members.items() if d in ds),
+             ";".join(rng.sample(hospitals, 2)))
+            for d in departments],
+    }
+    for name, rows in tables.items():
+        with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+    shutil.copy(DEMO / "config.json", directory / "config.json")
+
+
+def in_process_metrics(config_path, path):
+    """metrics.csv as eval wrote it when it read ground truth and baselines from the
+    cleaned tables: each scenario's social scores, then each baseline column."""
+    config = load_config(str(config_path), None, None)
+    store = clean(parse_store(*(config.inputs[name]
+                                for name in ("doctors", "hospitals", "departments"))))
+    network = build_network(store, config.similarity_mode)
+    trusts = derive_network_trust(network)
+    truths, baselines = ground_truth_ratings(store), baseline_columns(store)
+    reports = []
+    for scenario, residual_configs in config.scenarios.items():
+        scored = _score(config, network, trusts, residual_configs)
+        for layer in LAYERS:
+            scores = dict(zip(scored[layer].result.scores.entity_ids,
+                              scored[layer].result.scores.values.tolist()))
+            reports += layer_reports(layer.value, "social_score", scenario, scores,
+                                     truths[layer.value], config.ks[layer])
+    for layer in LAYERS:
+        for name, column in baselines[layer.value].items():
+            reports += layer_reports(layer.value, name, "", column, truths[layer.value],
+                                     config.ks[layer])
+    bundle.write_metrics_csv(reports, path)
+    return store
+
+
+@pytest.mark.parametrize("tables", ["demo", "generated"])
+def test_eval_metrics_match_the_reports_of_the_cleaned_tables(tmp_path, out, tables):
+    if tables == "demo":
+        config_path = DEMO / "config.json"
+    else:
+        write_generated_tables(tmp_path)
+        config_path = tmp_path / "config.json"
+    run_pipeline(config_path, out, commands=("build", "eval"))
+    store = in_process_metrics(config_path, tmp_path / "expected.csv")
+    if tables == "generated":
+        assert any(doc.like_pct is None for doc in store.doctors.values())
+        assert len(store.hospitals) > 2
+    assert (out / "metrics.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_eval_on_a_bundle_without_columns_exits_two(out, caplog, demo_network):
+    run_pipeline(DEMO / "config.json", out, commands=("build",))
+    bundle.save_network(demo_network, out / "network.json")
+    with caplog.at_level("ERROR", logger="trustprop"):
+        assert main(["eval", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+    assert any("holds no ratings or baselines" in record.message
+               and "run the build command again" in record.message for record in caplog.records)
+
+
+@pytest.mark.parametrize("d2_doctors, message", [
+    ("P3:1e308;P4:6", "pd trust: the weights of P3 sum past the float range"),
+    ("P3:1e308;P4:1e308", "dp trust: the weights of D2 sum past the float range"),
+], ids=["doctor-to-department", "department-to-doctor"])
+def test_trust_row_sum_past_the_float_range_exits_two(tmp_path, out, caplog, d2_doctors,
+                                                      message):
+    for name in ("doctors.csv", "hospitals.csv", "config.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    text = (DEMO / "departments.csv").read_text()
+    text = text.replace("P1:10;P2:6;P3:8,", "P1:10;P2:6;P3:1e308,")
+    (tmp_path / "departments.csv").write_text(text.replace("P3:4;P4:6,", d2_doctors + ","))
+    run_pipeline(tmp_path / "config.json", out, commands=("build",))
+    with warnings.catch_warnings(), caplog.at_level("ERROR", logger="trustprop"):
+        warnings.simplefilter("error")
+        for command in ("trust", "score", "eval", "stress"):
+            assert main([command, "--config", str(tmp_path / "config.json"),
+                         "--out", str(out)]) == 2, command
+    assert sum(message in record.message for record in caplog.records) == 4
 
 
 def test_trust_json_holds_the_derived_trust(out):

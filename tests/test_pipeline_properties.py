@@ -2,6 +2,8 @@
 ``test_clean_properties``: the network bundle round trip and the stress rebuild."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from hypothesis import given
 from test_clean_properties import dirty_stores, property_settings
 from trustprop import build_network, clean, derive_network_trust
 from trustprop.builder import SimilarityMode
+from trustprop.cli import eval_columns
 from trustprop.bundle import load_network, save_network
 from trustprop.model import INTER_LAYER_PAIRS, LAYERS
 from trustprop.stress import (GeneratorConfig, GeneratorMethod, export_edge_table,
@@ -26,8 +29,12 @@ def test_network_bundle_round_trip_on_cleaned_stores(path, store):
     cleaned = clean(store)
     for mode in SimilarityMode:
         network = build_network(cleaned, mode)
+        network = replace(network, columns=eval_columns(cleaned, network))
         save_network(network, path)
         again = load_network(path)
+        # each column in order, every float and every null of an unrated entity exact
+        assert {layer: list(columns.items()) for layer, columns in again.columns.items()} == {
+            layer: list(columns.items()) for layer, columns in network.columns.items()}
         for layer in LAYERS:
             assert again.node_ids(layer) == network.node_ids(layer)
             assert np.array_equal(again.intra[layer].weights, network.intra[layer].weights)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def test_reverse_trust_rejects_intra_blocks():
     with pytest.raises(InputError,
                        match="reverse trust needs an inter-layer block, got intra-layer doctor"):
         derive_reverse_trust(block)
+
+
+def test_row_sum_past_the_float_range_is_an_input_error():
+    # the sums overflow to inf, which would divide each row to zeros
+    weights = np.array([[1e308, 1e308, 0.0], [1.0, 1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="hd trust: the weights of h0 sum past the float"):
+            derive_trust(block_from(weights))
+        with pytest.raises(InputError, match="dh trust: the weights of d1 sum past the float"):
+            derive_reverse_trust(block_from(weights))
+        # one huge weight alone still normalizes
+        assert derive_trust(block_from(weights[:, 1:])).values.tolist() == [[1.0, 0.0],
+                                                                             [1.0, 0.0]]
 
 
 def test_demo_trust_matrices_are_sound(demo_trust):
