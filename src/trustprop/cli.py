@@ -36,7 +36,7 @@ from .scoring import (
     score_network,
 )
 from .stress import GeneratorConfig, GeneratorMethod, export_edge_table, run_stress, write_edge_table
-from .trust import TrustNetwork, derive_network_trust
+from .trust import TrustNetwork, derive_network_trust, row_sums
 
 log = logging.getLogger("trustprop")
 
@@ -224,6 +224,13 @@ def cmd_build(config: RunConfig) -> int:
     if any(dropped.values()):
         log.info("cleaning dropped %s", ", ".join(f"{v} {k}" for k, v in dropped.items() if v))
     network = build_network(cleaned, config.similarity_mode)
+    # trust divides each row of a belongs-to block, and of its transpose, by its sum
+    for block in network.inter.values():
+        for weights, ids in ((block.weights, block.row_ids), (block.weights.T, block.col_ids)):
+            overflowed = row_sums(weights)[1]
+            if overflowed is not None:
+                raise InputError(f"{config.inputs['departments']}: the membership weights of "
+                                 f"{ids[overflowed]} sum past the float range")
     bundle.save_network(replace(network, columns=eval_columns(cleaned, network)),
                         _network_path(config))
     log.info("wrote %s", _network_path(config))

@@ -56,26 +56,56 @@ def spearman(a, b) -> float:
     return float((da * db).sum()) / math.sqrt(denom_sq)
 
 
-def _tied_pairs(x: np.ndarray) -> float:
+def _tied_pairs(x: np.ndarray) -> int:
     """Pairs of equal values: the sum of c(c-1)/2 over each value's count c."""
     counts = np.unique(x, return_counts=True)[1]
-    return float((counts * (counts - 1) // 2).sum())
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(x: np.ndarray) -> int:
+    """Pairs i < j with x[i] > x[j], for integers x in [0, len(x)).
+
+    A bottom-up merge sort, one vectorised level per doubling of the block
+    width: each value is offset by its merge pair's index times len(x), so one
+    sorted search over all left halves counts, for every right-half value, the
+    greater values in its own left half.
+    """
+    n = len(x)
+    position = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        offset = position // (2 * width) * n
+        right = position // width % 2 == 1
+        keys = x + offset
+        left = keys[~right]  # sorted: each left half is sorted, and offsets rise
+        ends = np.searchsorted(left, offset[right] + n)
+        inversions += int((ends - np.searchsorted(left, keys[right], side="right")).sum())
+        x = np.sort(keys) - offset
+        width *= 2
+    return inversions
 
 
 def kendall(a, b) -> float:
     """Kendall rank correlation, tie-corrected (tau-b).
 
-    Returns nan when every pair is tied on one side. Pair signs are taken one
-    row at a time, so memory stays linear in n while time is quadratic.
+    Returns nan when either side holds a NaN or when every pair is tied on
+    one side; equal infinities count as a tie. Knight's method (1966) takes
+    O(n log n) time: sort the pairs by (a, b), and the discordant pairs are
+    the inversions left in b.
     """
     xa, xb = _paired_arrays(a, b, "kendall")
     n = len(xa)
     if n < 2:
         raise InputError(f"kendall needs at least 2 samples, got {n}")
-    concordance = float(sum(np.sign(xa[i] - xa[i + 1:]) @ np.sign(xb[i] - xb[i + 1:])
-                            for i in range(n - 1)))
+    if np.isnan(xa).any() or np.isnan(xb).any():
+        return math.nan
+    ra, rb = (np.unique(x, return_inverse=True)[1] for x in (xa, xb))
+    ties_a, ties_b, ties_both = _tied_pairs(ra), _tied_pairs(rb), _tied_pairs(ra * n + rb)
+    discordant = _inversions(rb[np.lexsort((rb, ra))])
+    pairs = n * (n - 1) // 2
+    concordance = float(pairs - ties_a - ties_b + ties_both - 2 * discordant)
     n0 = n * (n - 1) / 2.0
-    ties_a, ties_b = (_tied_pairs(x) for x in (xa, xb))
     denom_sq = (n0 - ties_a) * (n0 - ties_b)
     if denom_sq == 0.0:
         return math.nan

@@ -3,7 +3,9 @@
 The trust matrices flatten to a columnar edge table (one row per positive cell). A
 generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
-is pivoted back into matrices, renormalized, and scored again. Comparing the
+is pivoted back into matrices, renormalized, and scored again. An exported table
+carries the cells its records came from, so a stress run looks each record up
+once and each seed only redraws the values and scatters them back. Comparing the
 rescored network against the original quantifies how much the scoring pipeline
 leans on the exact trust values. The edge table's CSV format, like every
 artifact format, belongs to :mod:`bundle`.
@@ -33,6 +35,24 @@ _TAGS = frozenset([layer.tag for layer in LAYERS] + [a.tag + b.tag for a, b in I
 
 
 @dataclass(frozen=True, eq=False)
+class _Support:
+    """The cells :func:`export_edge_table` read a table's records from.
+
+    Per tag: the matrix ids the cells index and the tag's records, which are
+    contiguous (empty matrices have none). Per record: its row and column and
+    whether its source and target share an id. ``runs`` are the slices of
+    records that share a (tag, src) row, in table order.
+    """
+
+    ids: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
+    slices: dict[str, slice]
+    rows: np.ndarray
+    cols: np.ndarray
+    same: np.ndarray
+    runs: list[slice]
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeTable:
     """Trust cells as four parallel read-only columns: matrix tag, source id,
     target id (object arrays of ``str``) and trust (float64).
@@ -45,6 +65,8 @@ class EdgeTable:
     src: np.ndarray
     dst: np.ndarray
     trust: np.ndarray
+    #: set only on tables from export_edge_table and the generators' copies of them
+    _support: _Support | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("tag", "src", "dst", "trust"):
@@ -74,6 +96,16 @@ def _groups(keys: Sequence) -> dict:
                           dtype=np.intp, count=len(keys))
     bounds = np.cumsum(np.bincount(inverse, minlength=len(codes)))[:-1]
     return dict(zip(codes, np.split(np.argsort(inverse, kind="stable"), bounds)))
+
+
+def _carrying(table: EdgeTable, support: _Support | None) -> EdgeTable:
+    object.__setattr__(table, "_support", support)
+    return table
+
+
+def _tag_groups(table: EdgeTable) -> dict:
+    """Each tag's records (a slice or row indices); tags in first-appearance order."""
+    return table._support.slices if table._support else _groups(table.tag)
 
 
 def _positions(ids: Sequence[str], column: np.ndarray) -> np.ndarray:
@@ -106,16 +138,38 @@ class GeneratorConfig:
 
 
 def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
-    """Flatten trust matrices to an edge table, row-major, skipping zero cells."""
-    tags, srcs, dsts, values = [], [], [], []
+    """Flatten trust matrices to an edge table, row-major, skipping zero cells.
+
+    When each matrix has its own tag and no repeated id, the table carries the
+    cells it was read from, and so a (tag, src) row or a tag is a contiguous
+    run of records.
+    """
+    matrices = list(matrices)
+    tags, srcs, dsts, values, rows, cols = [], [], [], [], [], []
     for matrix in matrices:
-        rows, cols, cells = nonzero_cells(matrix.values)
-        tags.append(np.full(len(rows), matrix.tag, dtype=object))
-        srcs.append(np.asarray(matrix.row_ids, dtype=object)[rows])
-        dsts.append(np.asarray(matrix.col_ids, dtype=object)[cols])
+        row, col, cells = nonzero_cells(matrix.values)
+        tags.append(np.full(len(row), matrix.tag, dtype=object))
+        srcs.append(np.asarray(matrix.row_ids, dtype=object)[row])
+        dsts.append(np.asarray(matrix.col_ids, dtype=object)[col])
         values.append(cells)
+        rows.append(row)
+        cols.append(col)
     columns = (tags, srcs, dsts, values)
-    return EdgeTable(*(np.concatenate(column) if column else [] for column in columns))
+    table = EdgeTable(*(np.concatenate(column) if column else [] for column in columns))
+    if not matrices or len({m.tag for m in matrices}) < len(matrices) or any(
+            len(set(ids)) < len(ids) for m in matrices for ids in (m.row_ids, m.col_ids)):
+        return table
+    bounds = np.cumsum([0] + [len(row) for row in rows]).tolist()
+    slices = {m.tag: slice(a, b) for m, a, b in zip(matrices, bounds, bounds[1:]) if b > a}
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # a run starts wherever the row index changes and at each tag's first record
+    new_run = np.diff(rows, prepend=-1) != 0
+    new_run[[group.start for group in slices.values()]] = True
+    starts = np.flatnonzero(new_run).tolist()
+    return _carrying(table, _Support(
+        ids={m.tag: (m.row_ids, m.col_ids) for m in matrices}, slices=slices, rows=rows,
+        cols=cols, same=table.src == table.dst,
+        runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(table)])]))
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
@@ -156,13 +210,16 @@ def generate_synthetic(table: EdgeTable, config: GeneratorConfig) -> EdgeTable:
 
     rng = np.random.default_rng(config.seed)
     trust = np.empty_like(table.trust)
+    support = table._support
     if config.method is GeneratorMethod.DIRICHLET:
-        for group in _groups(list(zip(table.tag, table.src))).values():
+        groups = support.runs if support else _groups(list(zip(table.tag, table.src))).values()
+        for group in groups:
             trust[group] = rng.dirichlet(config.concentration * table.trust[group])
     else:
-        for group in _groups(table.tag).values():
-            trust[group] = rng.choice(table.trust[group], size=len(group), replace=True)
-    return EdgeTable(table.tag, table.src, table.dst, trust)
+        for group in _tag_groups(table).values():
+            values = table.trust[group]
+            trust[group] = rng.choice(values, size=len(values), replace=True)
+    return _carrying(EdgeTable(table.tag, table.src, table.dst, trust), support)
 
 
 @dataclass(frozen=True)
@@ -178,12 +235,15 @@ def rebuild_trust(table: EdgeTable,
                   shapes: Mapping[str, TrustMatrix]) -> tuple[dict[str, TrustMatrix], RebuildReport]:
     """Pivot an edge table back into row-stochastic trust matrices.
 
-    Cells absent from the table are zero-filled, and a cell given twice
-    raises InputError. Records landing on an intra-layer diagonal are dropped
-    and counted (self-trust is structurally excluded). Every row is renormalized, so record values only set row
-    proportions.
+    Cells absent from the table are zero-filled; a cell given twice raises
+    InputError. Records on an intra-layer diagonal are dropped and counted,
+    since self-trust is structurally excluded. Every row is renormalized, so
+    record values only set row proportions. Records are found in each matrix
+    by their ids, unless the table carries cells resolved against that
+    matrix's very ids.
     """
-    by_tag = _groups(table.tag)
+    support = table._support
+    by_tag = _tag_groups(table)
     missing = [tag for tag in by_tag if tag not in shapes]
     if missing:
         raise InputError(f"record tag {missing[0]!r} has no target matrix")
@@ -191,13 +251,17 @@ def rebuild_trust(table: EdgeTable,
     dropped: dict[str, int] = {}
     for tag, template in shapes.items():
         group = by_tag.get(tag, np.zeros(0, dtype=np.intp))
-        src, dst = table.src[group], table.dst[group]
-        rows, cols = _positions(template.row_ids, src), _positions(template.col_ids, dst)
-        outside = np.flatnonzero((rows < 0) | (cols < 0))
-        if outside.size:
-            k = outside[0]
-            raise InputError(f"{tag}: record ({src[k]},{dst[k]}) falls outside the matrix ids")
-        keep = ~((src == dst) & template.is_intra)
+        if support and support.ids.get(tag) == (template.row_ids, template.col_ids):
+            rows, cols, same = support.rows[group], support.cols[group], support.same[group]
+        else:
+            src, dst = table.src[group], table.dst[group]
+            rows, cols = _positions(template.row_ids, src), _positions(template.col_ids, dst)
+            outside = np.flatnonzero((rows < 0) | (cols < 0))
+            if outside.size:
+                k = outside[0]
+                raise InputError(f"{tag}: record ({src[k]},{dst[k]}) falls outside the matrix ids")
+            same = src == dst
+        keep = ~(same & template.is_intra)
         if not keep.all():
             dropped[tag] = int((~keep).sum())
         grid = from_cells(template.shape, rows[keep], cols[keep], table.trust[group][keep],

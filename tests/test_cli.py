@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import random
@@ -322,18 +323,44 @@ def test_eval_on_a_bundle_without_columns_exits_two(out, caplog, demo_network):
                and "run the build command again" in record.message for record in caplog.records)
 
 
+def write_overflowing_demo(directory, d2_doctors):
+    """The demo tables with P3 weighted 1e308 in D1 and D2's doctors set to ``d2_doctors``."""
+    for name in ("doctors.csv", "hospitals.csv", "config.json"):
+        shutil.copy(DEMO / name, directory / name)
+    text = (DEMO / "departments.csv").read_text()
+    text = text.replace("P1:10;P2:6;P3:8,", "P1:10;P2:6;P3:1e308,")
+    (directory / "departments.csv").write_text(text.replace("P3:4;P4:6,", d2_doctors + ","))
+
+
+@pytest.mark.parametrize("d2_doctors, entity", [("P3:1e308;P4:6", "P3"),
+                                                ("P3:1e308;P4:1e308", "D2")],
+                         ids=["doctor-to-department", "department-to-doctor"])
+def test_build_exits_two_when_a_membership_weight_sum_overflows(tmp_path, out, caplog,
+                                                                d2_doctors, entity):
+    write_overflowing_demo(tmp_path, d2_doctors)
+    with warnings.catch_warnings(), caplog.at_level("ERROR", logger="trustprop"):
+        warnings.simplefilter("error")
+        assert main(["build", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert not (out / "network.json").exists()
+    message = (f"{tmp_path / 'departments.csv'}: the membership weights of {entity} "
+               "sum past the float range")
+    assert [record.message for record in caplog.records] == [message]
+
+
 @pytest.mark.parametrize("d2_doctors, message", [
     ("P3:1e308;P4:6", "pd trust: the weights of P3 sum past the float range"),
     ("P3:1e308;P4:1e308", "dp trust: the weights of D2 sum past the float range"),
 ], ids=["doctor-to-department", "department-to-doctor"])
 def test_trust_row_sum_past_the_float_range_exits_two(tmp_path, out, caplog, d2_doctors,
                                                       message):
-    for name in ("doctors.csv", "hospitals.csv", "config.json"):
-        shutil.copy(DEMO / name, tmp_path / name)
-    text = (DEMO / "departments.csv").read_text()
-    text = text.replace("P1:10;P2:6;P3:8,", "P1:10;P2:6;P3:1e308,")
-    (tmp_path / "departments.csv").write_text(text.replace("P3:4;P4:6,", d2_doctors + ","))
-    run_pipeline(tmp_path / "config.json", out, commands=("build",))
+    write_overflowing_demo(tmp_path, d2_doctors)
+    # build refuses these weights, so the bundle is written through the library
+    store = clean(parse_store(*(tmp_path / name
+                                for name in ("doctors.csv", "hospitals.csv", "departments.csv"))))
+    network = build_network(store)
+    out.mkdir()
+    bundle.save_network(replace(network, columns=trustprop.cli.eval_columns(store, network)),
+                        out / "network.json")
     with warnings.catch_warnings(), caplog.at_level("ERROR", logger="trustprop"):
         warnings.simplefilter("error")
         for command in ("trust", "score", "eval", "stress"):

@@ -104,6 +104,32 @@ def test_correlations_with_ties_match_brute_force():
             assert math.isnan(kendall(a, b))
 
 
+def test_kendall_matches_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(43)
+    pools = ([-0.0, 0.0, 1.0], [0.0, 1.5, -2.0, 1e308, -1e308], [7.0])  # the last is constant
+    for trial in range(400):
+        n = int(rng.integers(2, 60)) if trial < 396 else int(rng.integers(300, 400))
+        if trial % 4 == 3:
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            b[rng.random(n) < 0.3] = 0.5
+        else:
+            a, b = (rng.choice(pools[int(rng.integers(0, len(pools)))], size=n) for _ in "ab")
+        want = exact_kendall(a.tolist(), b.tolist())
+        got = kendall(a, b)
+        if want is None:
+            assert math.isnan(got), trial
+        else:
+            num, denom_sq = want
+            assert got == num / math.sqrt(denom_sq), trial
+
+
+def test_kendall_of_nan_is_nan_and_equal_infinities_tie():
+    assert math.isnan(kendall([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(kendall([1.0, 2.0, 3.0], [3.0, 2.0, math.nan]))
+    # pairs: one tied in a, two discordant
+    assert kendall([math.inf, math.inf, 0.0], [0.0, 1.0, 2.0]) == -2 / math.sqrt(6)
+
+
 def test_perfect_and_reversed_correlation():
     a = [1.0, 2.0, 3.0, 4.0, 5.0]
     assert spearman(a, a) == 1.0

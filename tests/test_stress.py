@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from trustprop import (
     GeneratorMethod,
     LayerId,
     ResidualConfig,
+    build_network,
+    derive_network_trust,
     export_edge_table,
     generate_residual,
     generate_synthetic,
@@ -22,6 +26,8 @@ from trustprop import (
 )
 from trustprop.errors import InputError, MalformedRowError
 from trustprop.stress import trust_network_from_tags
+
+from test_builder import random_store
 
 
 def demo_scores(demo_network, demo_trust, **kwargs):
@@ -266,3 +272,82 @@ def test_run_stress_tolerates_zero_dirichlet_draws(demo_network, demo_trust):
         rebuilt, _ = rebuild_trust(run.synthetic, demo_trust.by_tag())
         for matrix in rebuilt.values():
             assert matrix.violations() == [], matrix.tag
+
+
+def plain_copy(table: EdgeTable) -> EdgeTable:
+    """The same records without the cells export_edge_table resolved them to."""
+    return EdgeTable(table.tag, table.src, table.dst, table.trust)
+
+
+def stress_networks(demo_network):
+    rng = np.random.default_rng(17)
+    # one hospital has no peer, so the hospital trust matrix is empty; with one
+    # department, the last row of dp and the first row of dh share index 0
+    sizes = [(3, 4, 7), (1, 3, 5), (2, 1, 4), (5, 6, 9)]
+    return [demo_network] + [build_network(random_store(rng, *size)) for size in sizes]
+
+
+@pytest.mark.parametrize("method, concentration", [
+    (GeneratorMethod.IDENTITY, 1000.0), (GeneratorMethod.DIRICHLET, 1000.0),
+    (GeneratorMethod.DIRICHLET, 0.01), (GeneratorMethod.BOOTSTRAP, 1000.0)])
+def test_run_stress_equals_the_public_steps_on_an_index_less_table(demo_network, method,
+                                                                   concentration):
+    for network in stress_networks(demo_network):
+        trusts = derive_network_trust(network)
+        true_scores = demo_scores(network, trusts)
+        residuals = {layer: scores.residual for layer, scores in true_scores.items()}
+        shapes = trusts.by_tag()
+        ks = {layer: [2] for layer in LayerId}
+        generator = GeneratorConfig(method=method, concentration=concentration)
+        table = export_edge_table(trusts.all_matrices())
+        assert table._support is not None and plain_copy(table)._support is None
+        runs = run_stress(trusts, true_scores, generator, [3, 4], ks=ks)
+        for run in runs:
+            config = replace(generator, seed=run.seed)
+            synthetic = generate_synthetic(plain_copy(table), config)
+            assert synthetic._support is None
+            assert run.synthetic._support is not None
+            assert run.synthetic.trust.tobytes() == synthetic.trust.tobytes()
+            rebuilt, report = rebuild_trust(synthetic, shapes)
+            assert run.rebuild == report
+            again, _ = rebuild_trust(run.synthetic, shapes)
+            for tag, matrix in rebuilt.items():
+                assert again[tag].values.tobytes() == matrix.values.tobytes(), tag
+            scores = score_network(trust_network_from_tags(rebuilt), residuals)
+            for layer in LayerId:
+                assert (run.scores[layer].result.scores.values.tobytes()
+                        == scores[layer].result.scores.values.tobytes())
+            assert run.reports == stress_compare(true_scores, scores, ks,
+                                                 scenario=f"{method.value}/seed={run.seed}")
+
+
+def test_carried_cells_against_other_ids_resolve_by_name(demo_trust):
+    table = export_edge_table(demo_trust.all_matrices())
+    shapes = demo_trust.by_tag()
+    # reversed ids in two matrices: the same cells lie elsewhere
+    moved = dict(shapes)
+    for tag in ("p", "dp"):
+        m = shapes[tag]
+        moved[tag] = replace(m, row_ids=m.row_ids[::-1], col_ids=m.col_ids[::-1],
+                             values=np.zeros(m.shape))
+    for target in (shapes, moved):
+        carried, plain = rebuild_trust(table, target), rebuild_trust(plain_copy(table), target)
+        assert carried[1] == plain[1]
+        for tag, matrix in plain[0].items():
+            assert carried[0][tag].values.tobytes() == matrix.values.tobytes(), tag
+    assert not np.array_equal(rebuild_trust(table, moved)[0]["p"].values, shapes["p"].values)
+    # a doctor missing from the ids: the same error either way
+    m = shapes["pd"]
+    short = {**shapes, "pd": replace(m, row_ids=m.row_ids[:-1], values=np.zeros(m.shape)[:-1])}
+    for candidate in (table, plain_copy(table)):
+        with pytest.raises(InputError,
+                           match=rf"pd: record \({m.row_ids[-1]},D\d\) falls outside the matrix ids"):
+            rebuild_trust(candidate, short)
+
+
+def test_matrices_sharing_a_tag_export_without_cells(demo_trust):
+    h = demo_trust.intra[LayerId.HOSPITAL]
+    table = export_edge_table([h, h])
+    assert table._support is None
+    with pytest.raises(InputError, match="more than once"):
+        rebuild_trust(table, demo_trust.by_tag())
