@@ -19,12 +19,12 @@ from typing import Iterator
 import numpy as np
 
 from . import bundle
-from .builder import SimilarityMode, build_network, layer_attributes
+from .builder import SimilarityMode, build_network
 from .errors import ConfigError, InputError, TrustPropError
 from .ingest import (EntityStore, baseline_columns, clean, ground_truth_ratings, inputs_sha256,
                      parse_store, read_table)
 from .metrics import MetricsReport, layer_reports, top_k_ids
-from .model import LAYERS, LayerId, MultiLayerNetwork
+from .model import LAYERS, LayerId, MultiLayerNetwork, validate_network
 from .scoring import (
     ConvergenceConfig,
     DeltaNorm,
@@ -36,7 +36,7 @@ from .scoring import (
     score_network,
 )
 from .stress import GeneratorConfig, GeneratorMethod, export_edge_table, run_stress, write_edge_table
-from .trust import TrustNetwork, derive_network_trust, row_sums
+from .trust import TrustNetwork, derive_network_trust
 
 log = logging.getLogger("trustprop")
 
@@ -224,13 +224,10 @@ def cmd_build(config: RunConfig) -> int:
     if any(dropped.values()):
         log.info("cleaning dropped %s", ", ".join(f"{v} {k}" for k, v in dropped.items() if v))
     network = build_network(cleaned, config.similarity_mode)
-    # trust divides each row of a belongs-to block, and of its transpose, by its sum
-    for block in network.inter.values():
-        for weights, ids in ((block.weights, block.row_ids), (block.weights.T, block.col_ids)):
-            overflowed = row_sums(weights)[1]
-            if overflowed is not None:
-                raise InputError(f"{config.inputs['departments']}: the membership weights of "
-                                 f"{ids[overflowed]} sum past the float range")
+    # the same check load_network makes, so build never writes a bundle the other commands refuse
+    violations = validate_network(network)
+    if violations:
+        raise InputError(f"the input tables build an invalid network: {violations[0]}")
     bundle.save_network(replace(network, columns=eval_columns(cleaned, network)),
                         _network_path(config))
     log.info("wrote %s", _network_path(config))
@@ -271,12 +268,6 @@ def cmd_eval(config: RunConfig) -> int:
                          "run the build command again")
     paths = [config.inputs[name] for name in ("doctors", "hospitals", "departments")]
     if inputs_sha256([read_table(p) for p in paths]) != network.provenance.get("inputs_sha256"):
-        # the tables are parsed only to name the first layer whose cleaned ids differ
-        store = clean(parse_store(*paths))
-        for layer in LAYERS:
-            if layer_attributes(store, layer)[0] != network.node_ids(layer):
-                raise InputError(f"the cleaned input tables' {layer.value} ids differ from those "
-                                 f"in {_network_path(config)}; run the build command again")
         raise InputError(f"the input tables differ from those {_network_path(config)} was "
                          "built from; run the build command again")
     trusts = derive_network_trust(network)

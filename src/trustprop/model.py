@@ -84,7 +84,7 @@ def from_cells(shape: tuple[int, int], rows, cols, values, label: str) -> np.nda
         if index.size and not (index.dtype.kind in "iu" and 0 <= index.min() <= index.max() < size):
             raise InputError(f"{label}: a cell index is not an integer inside the "
                              f"{shape[0]}x{shape[1]} matrix")
-    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
     if values.size and values.dtype.kind not in "iuf":
         raise InputError(f"{label}: a cell value is not a number")
     seen = np.zeros(shape, dtype=bool)
@@ -109,9 +109,10 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
     Every cell must be finite and non-negative, and a square matrix (rows and
     columns index one layer) has a zero diagonal. ``symmetric`` also requires
     ``values == values.T``; ``stochastic`` requires cells of at most 1 and rows
-    summing to 0 or 1 within ROW_SUM_TOL. Each kind of bad cell is reported at
-    its first row-major hit, except diagonal cells and row sums, which are all
-    reported.
+    summing to 0 or 1 within ROW_SUM_TOL; any other matrix's rows and columns,
+    which trust divides by their sums, must sum inside the float range. Each
+    kind of bad cell or sum is reported at its first hit (rows before columns),
+    except diagonal cells and row sums, which are all reported.
     """
     noun = "value" if stochastic else "weight"
 
@@ -119,8 +120,8 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
         return f"({row_ids[i]},{col_ids[j]})"
 
     out = []
-    if (hit := _first_cell(~np.isfinite(values))) is not None:
-        out.append(f"{label}: non-finite {noun} {values[hit]} at {cell(*hit)}")
+    if (nonfinite := _first_cell(~np.isfinite(values))) is not None:
+        out.append(f"{label}: non-finite {noun} {values[nonfinite]} at {cell(*nonfinite)}")
     if (hit := _first_cell(values < 0)) is not None:
         out.append(f"{label}: negative {noun} at {cell(*hit)}")
     if square:
@@ -136,6 +137,15 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
         out += [f"{label}: row {row_ids[i]} sums to {total}, not 0 or 1"
                 for i, total in enumerate(values.sum(axis=1).tolist())
                 if total != 0.0 and abs(total - 1.0) > ROW_SUM_TOL]
+    elif nonfinite is None:
+        with np.errstate(over="ignore"):
+            # a finite total of non-negative cells bounds every row and column sum
+            if not np.isfinite(values.sum()):
+                for axis, name, ids in ((1, "row", row_ids), (0, "column", col_ids)):
+                    if (hit := _first_cell(~np.isfinite(values.sum(axis=axis)))) is not None:
+                        out.append(f"{label}: the {noun}s in {name} {ids[hit[0]]} sum past "
+                                   "the float range")
+                        break
     return out
 
 

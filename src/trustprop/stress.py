@@ -7,8 +7,8 @@ is pivoted back into matrices, renormalized, and scored again. An exported table
 carries the cells its records came from, so a stress run looks each record up
 once and each seed only redraws the values and scatters them back. Comparing the
 rescored network against the original quantifies how much the scoring pipeline
-leans on the exact trust values. The edge table's CSV format, like every
-artifact format, belongs to :mod:`bundle`.
+leans on the exact trust values. ``write_edge_table`` and ``read_edge_table``
+keep the edge table's CSV format here, on :mod:`bundle`'s one CSV codec.
 """
 from __future__ import annotations
 

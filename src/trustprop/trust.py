@@ -22,21 +22,14 @@ from .model import (
 )
 
 
-def row_sums(weights: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """Each row's sum, as a column, and the first row whose sum overflows the
-    float range (None when none does)."""
-    with np.errstate(over="ignore"):
-        sums = weights.sum(axis=1, keepdims=True)
-    overflowed = np.flatnonzero(~np.isfinite(sums))
-    return sums, (int(overflowed[0]) if overflowed.size else None)
-
-
 def _normalize_rows(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
     """Each row divided by its sum; raises InputError on a row whose sum
     overflows, which would otherwise divide to a row of zeros."""
-    sums, overflowed = row_sums(weights)
-    if overflowed is not None:
-        raise InputError(f"{tag} trust: the weights of {row_ids[overflowed]} sum past "
+    with np.errstate(over="ignore"):
+        sums = weights.sum(axis=1, keepdims=True)
+    overflowed = np.flatnonzero(~np.isfinite(sums))
+    if overflowed.size:
+        raise InputError(f"{tag} trust: the weights of {row_ids[overflowed[0]]} sum past "
                          "the float range")
     out = np.zeros_like(weights, dtype=float)
     np.divide(weights, sums, out=out, where=sums > 0)

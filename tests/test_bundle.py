@@ -103,6 +103,12 @@ def repeat_first_cell(block, weight=None):
         block["weight"][-1] = weight
 
 
+def overflow_first_row(block):
+    """Set a block's first two cells, which share a row, to 1e308: that row's sum overflows."""
+    assert block["row"][0] == block["row"][1]
+    block["weight"][:2] = [1e308, 1e308]
+
+
 @pytest.mark.parametrize("mutate", [
     lambda p: p.pop("layers"),
     lambda p: p["layers"].pop("doctor"),
@@ -134,6 +140,7 @@ def repeat_first_cell(block, weight=None):
     lambda p: p["layers"]["doctor"]["columns"][2][1].__setitem__(0, "3.0"),
     lambda p: p.update(schema_version=3),
     lambda p: p["layers"]["hospital"]["columns"].append(p["layers"]["hospital"]["columns"][1]),
+    lambda p: overflow_first_row(p["inter"]["department:doctor"]),
 ])
 def test_malformed_network_bundle_rejected(tmp_path, demo_network, demo_store, mutate):
     path = tmp_path / "network.json"

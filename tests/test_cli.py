@@ -176,18 +176,30 @@ def test_input_table_that_is_not_utf8_exits_two(tmp_path, out):
     assert main(["build", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
 
 
-def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog):
+def refuse_to_parse(monkeypatch):
+    """Make every importable ``parse_store`` and ``clean`` raise."""
+    def refuse(*_):
+        raise AssertionError("the input tables were parsed")
+
+    for module in (trustprop, trustprop.cli, trustprop.ingest):
+        monkeypatch.setattr(module, "parse_store", refuse)
+        monkeypatch.setattr(module, "clean", refuse)
+
+
+def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog, monkeypatch):
     for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
         shutil.copy(DEMO / name, tmp_path / name)
     run_pipeline(tmp_path / "config.json", out, commands=("build",))
     doctors = tmp_path / "doctors.csv"
     doctors.write_text("".join(line for line in doctors.read_text().splitlines(keepends=True)
                                if not line.startswith("P5,")))
+    # the digest alone refuses the tables: eval parses none of them
+    refuse_to_parse(monkeypatch)
     with caplog.at_level("ERROR", logger="trustprop"):
         assert main(["eval", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
-    # P5 was D4's only doctor, so the departments are the first layer to differ
-    assert any("department ids differ" in record.message and "run the build command again"
-               in record.message for record in caplog.records)
+    assert [record.message for record in caplog.records] == [
+        f"the input tables differ from those {out / 'network.json'} was built from; "
+        "run the build command again"]
     assert not (out / "metrics.csv").exists()
 
 
@@ -232,13 +244,7 @@ def test_similarity_mode_changed_since_build_exits_two(tmp_path, out, caplog):
 
 def test_eval_parses_no_table_after_build(out, monkeypatch):
     run_pipeline(DEMO / "config.json", out, commands=("build",))
-
-    def refuse(*_):
-        raise AssertionError("eval parsed the input tables")
-
-    for module in (trustprop, trustprop.cli, trustprop.ingest):
-        monkeypatch.setattr(module, "parse_store", refuse)
-        monkeypatch.setattr(module, "clean", refuse)
+    refuse_to_parse(monkeypatch)
     assert main(["eval", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
 
@@ -323,37 +329,54 @@ def test_eval_on_a_bundle_without_columns_exits_two(out, caplog, demo_network):
                and "run the build command again" in record.message for record in caplog.records)
 
 
-def write_overflowing_demo(directory, d2_doctors):
-    """The demo tables with P3 weighted 1e308 in D1 and D2's doctors set to ``d2_doctors``."""
-    for name in ("doctors.csv", "hospitals.csv", "config.json"):
-        shutil.copy(DEMO / name, directory / name)
-    text = (DEMO / "departments.csv").read_text()
-    text = text.replace("P1:10;P2:6;P3:8,", "P1:10;P2:6;P3:1e308,")
-    (directory / "departments.csv").write_text(text.replace("P3:4;P4:6,", d2_doctors + ","))
+#: edits of the demo tables whose weights sum past the float range, and the
+#: first block row or column that sum names
+OVERFLOWS = {
+    # P3 weighs 1e308 in D1 and in D2
+    "doctor-to-department": ({"departments.csv": [("P1:10;P2:6;P3:8,", "P1:10;P2:6;P3:1e308,"),
+                                                  ("P3:4;P4:6,", "P3:1e308;P4:6,")]},
+                             "column P3"),
+    # D2 weighs P3 and P4 1e308 each
+    "department-to-doctor": ({"departments.csv": [("P1:10;P2:6;P3:8,", "P1:10;P2:6;P3:1e308,"),
+                                                  ("P3:4;P4:6,", "P3:1e308;P4:1e308,")]},
+                             "row D2"),
+    # D1 weighs P1 and P2 by their qualification scores, 1e308 each
+    "qualification-scores": ({"departments.csv": [("P1:10;P2:6;P3:8,", "P1;P2;P3:8,")],
+                              "doctors.csv": [("D1,10,", "D1,1e308,"),
+                                              ("D1;D3,8,", "D1;D3,1e308,")]},
+                             "row D1"),
+}
 
 
-@pytest.mark.parametrize("d2_doctors, entity", [("P3:1e308;P4:6", "P3"),
-                                                ("P3:1e308;P4:1e308", "D2")],
-                         ids=["doctor-to-department", "department-to-doctor"])
-def test_build_exits_two_when_a_membership_weight_sum_overflows(tmp_path, out, caplog,
-                                                                d2_doctors, entity):
-    write_overflowing_demo(tmp_path, d2_doctors)
+def write_overflowing_demo(directory, case):
+    """The demo tables and config with the edits of ``OVERFLOWS[case]``."""
+    edits = OVERFLOWS[case][0]
+    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
+        text = (DEMO / name).read_text()
+        for old, new in edits.get(name, []):
+            assert old in text, (name, old)
+            text = text.replace(old, new, 1)
+        (directory / name).write_text(text)
+
+
+def overflow_message(case):
+    return f"departmentxdoctor block: the weights in {OVERFLOWS[case][1]} sum past the float range"
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_build_exits_two_when_a_membership_weight_sum_overflows(tmp_path, out, caplog, case):
+    write_overflowing_demo(tmp_path, case)
     with warnings.catch_warnings(), caplog.at_level("ERROR", logger="trustprop"):
         warnings.simplefilter("error")
         assert main(["build", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
     assert not (out / "network.json").exists()
-    message = (f"{tmp_path / 'departments.csv'}: the membership weights of {entity} "
-               "sum past the float range")
-    assert [record.message for record in caplog.records] == [message]
+    assert [record.message for record in caplog.records] == [
+        f"the input tables build an invalid network: {overflow_message(case)}"]
 
 
-@pytest.mark.parametrize("d2_doctors, message", [
-    ("P3:1e308;P4:6", "pd trust: the weights of P3 sum past the float range"),
-    ("P3:1e308;P4:1e308", "dp trust: the weights of D2 sum past the float range"),
-], ids=["doctor-to-department", "department-to-doctor"])
-def test_trust_row_sum_past_the_float_range_exits_two(tmp_path, out, caplog, d2_doctors,
-                                                      message):
-    write_overflowing_demo(tmp_path, d2_doctors)
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_trust_row_sum_past_the_float_range_exits_two(tmp_path, out, caplog, case):
+    write_overflowing_demo(tmp_path, case)
     # build refuses these weights, so the bundle is written through the library
     store = clean(parse_store(*(tmp_path / name
                                 for name in ("doctors.csv", "hospitals.csv", "departments.csv"))))
@@ -361,12 +384,15 @@ def test_trust_row_sum_past_the_float_range_exits_two(tmp_path, out, caplog, d2_
     out.mkdir()
     bundle.save_network(replace(network, columns=trustprop.cli.eval_columns(store, network)),
                         out / "network.json")
+    commands = ("trust", "score", "eval", "stress", "report")
     with warnings.catch_warnings(), caplog.at_level("ERROR", logger="trustprop"):
         warnings.simplefilter("error")
-        for command in ("trust", "score", "eval", "stress"):
+        for command in commands:
             assert main([command, "--config", str(tmp_path / "config.json"),
                          "--out", str(out)]) == 2, command
-    assert sum(message in record.message for record in caplog.records) == 4
+    assert [record.message for record in caplog.records] == len(commands) * [
+        f"{out / 'network.json'}: invalid network bundle: {overflow_message(case)}"]
+    assert [path.name for path in out.iterdir()] == ["network.json"]
 
 
 def test_trust_json_holds_the_derived_trust(out):

@@ -120,6 +120,31 @@ def test_validate_network_reports_non_finite_weights(demo_network):
     assert own and sorted(own) == sorted(problems)
 
 
+def test_block_sums_past_the_float_range_are_violations():
+    def violations(weights):
+        return AdjacencyBlock(rows=LayerId.DEPARTMENT, cols=LayerId.DOCTOR,
+                              row_ids=("D1", "D2"), col_ids=("P1", "P2", "P3"),
+                              weights=np.array(weights)).violations()
+
+    big = 1e308
+    # the first row is named before any column; no overflow warning escapes
+    assert violations([[0.0, big, big], [big, 0.0, big]]) == [
+        "departmentxdoctor block: the weights in row D1 sum past the float range"]
+    assert violations([[0.0, big, 1.0], [1.0, big, 0.0]]) == [
+        "departmentxdoctor block: the weights in column P2 sum past the float range"]
+    # the total overflows, but no row or column does
+    assert violations([[big, 0.0, 0.0], [0.0, big, 0.0]]) == []
+    # a non-finite cell is reported alone
+    assert violations([[np.inf, big, big], [0.0, 0.0, 0.0]]) == [
+        "departmentxdoctor block: non-finite weight inf at (D1,P1)"]
+    # a symmetric intra block names its row
+    doctors = AdjacencyBlock(rows=LayerId.DOCTOR, cols=LayerId.DOCTOR, row_ids=("P1", "P2", "P3"),
+                             col_ids=("P1", "P2", "P3"),
+                             weights=np.array([[0.0, big, big], [big, 0.0, 0.0], [big, 0.0, 0.0]]))
+    assert doctors.violations() == [
+        "doctor intra block: the weights in row P1 sum past the float range"]
+
+
 def test_demo_block_tags(demo_network):
     tags = [block.tag for block in (*demo_network.intra.values(), *demo_network.inter.values())]
     assert sorted(tags) == sorted(["h", "d", "p", "hd", "dp"])
