@@ -4,16 +4,18 @@ Intra-layer similarity is attribute overlap: hospitals share departments,
 departments share doctors, doctors share hospitals. With ``B`` a layer's 0/1
 node x attribute incidence, over every attribute value the layer lists (values
 that name no entity still count), the block is ``B Bᵀ`` with the diagonal
-zeroed; Jaccard is ``shared / (deg_i + deg_j - shared)``. The belongs-to
-blocks come from the same incidences: with ``H`` and ``D`` the doctor x
-hospital and doctor x department incidences, the hospital x department block
-is the doctor count ``Hᵀ D`` (1 where it is 0) on the cells either record
-declares; a department x doctor cell is the declared member's qualification
-score. Explicit per-pair weights on the department record override the
-computed defaults on declared cells.
+zeroed; Jaccard is ``shared / (deg_i + deg_j - shared)``. A belongs-to block
+holds one cell per declared membership, built from those cells alone. A
+hospital x department cell is declared by either record; its weight is the
+number of doctors who list both, or 1 when there is none. A department x
+doctor cell is declared by the department's member list; its weight is the
+member's qualification score, or 0 when it has none. Explicit per-pair weights
+on the department record override both defaults, and ids that name no entity
+are dropped.
 """
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -27,6 +29,7 @@ from .model import (
     AdjacencyBlock,
     LayerId,
     MultiLayerNetwork,
+    from_cells,
 )
 
 
@@ -47,18 +50,25 @@ def _incidence(attr_sets: Sequence[Iterable[str]], columns: Sequence[str]) -> np
     return out
 
 
+#: per layer, the store's table of records and the membership its intra block compares
+_TABLES = {LayerId.HOSPITAL: ("hospitals", "department_ids"),
+           LayerId.DEPARTMENT: ("departments", "doctor_ids"),
+           LayerId.DOCTOR: ("doctors", "hospital_ids")}
+
+
+def layer_ids(store: EntityStore, layer: LayerId) -> tuple[str, ...]:
+    """A layer's node order: its entity ids, sorted lexicographically."""
+    if layer not in _TABLES:
+        raise InputError(f"unknown layer {layer!r}")
+    return tuple(sorted(getattr(store, _TABLES[layer][0])))
+
+
 def layer_attributes(store: EntityStore, layer: LayerId) -> tuple[tuple[str, ...], list[frozenset[str]]]:
     """Node order (lexicographic) and per-node attribute sets for one layer."""
-    if layer is LayerId.HOSPITAL:
-        ids = tuple(sorted(store.hospitals))
-        return ids, [store.hospitals[h].department_ids for h in ids]
-    if layer is LayerId.DEPARTMENT:
-        ids = tuple(sorted(store.departments))
-        return ids, [store.departments[d].doctor_ids for d in ids]
-    if layer is LayerId.DOCTOR:
-        ids = tuple(sorted(store.doctors))
-        return ids, [store.doctors[p].hospital_ids for p in ids]
-    raise InputError(f"unknown layer {layer!r}")
+    ids = layer_ids(store, layer)
+    table, attribute = _TABLES[layer]
+    records = getattr(store, table)
+    return ids, [getattr(records[i], attribute) for i in ids]
 
 
 def build_intra_layer(store: EntityStore, layer: LayerId,
@@ -79,52 +89,38 @@ def build_intra_layer(store: EntityStore, layer: LayerId,
 
 
 def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> AdjacencyBlock:
-    """Belongs-to block for (hospital, department) or (department, doctor).
-
-    A hospital x department cell is nonzero only where membership is declared
-    (on either record). Declared cells default to the count of doctors
-    affiliated with both sides, or 1 when no such doctor exists, and the
-    department's explicit per-hospital weight takes precedence. Department x
-    doctor cells, declared by the department's member list, are the member's
-    qualification score (0 when it has none), again with the department's
-    explicit per-doctor weight winning. Any other layer pair has no belongs-to
-    relation.
-    """
+    """Belongs-to block for (hospital, department) or (department, doctor): one
+    cell per declared membership, weighted by the rules of the module docstring.
+    Any other layer pair has no belongs-to relation."""
     if (rows, cols) not in INTER_LAYER_PAIRS:
         raise InputError(
             f"no belongs-to relation for ({rows.value}, {cols.value}); "
             f"supported: hospital x department, department x doctor"
         )
-
-    # both blocks are built department-major, so one loop applies the explicit weights
-    d_ids = tuple(sorted(store.departments))
-    depts = [store.departments[d] for d in d_ids]
+    row_ids, col_ids = layer_ids(store, rows), layer_ids(store, cols)
+    row_at = {r: i for i, r in enumerate(row_ids)}
+    col_at = {c: j for j, c in enumerate(col_ids)}
+    cells: dict[tuple[int, int], float] = {}
     if rows is LayerId.HOSPITAL:
-        other_ids = tuple(sorted(store.hospitals))
-        declared = (_incidence([dept.hospital_ids for dept in depts], other_ids)
-                    + _incidence([store.hospitals[h].department_ids for h in other_ids],
-                                 d_ids).T) > 0
-        doctors = store.doctors.values()
-        counts = (_incidence([doc.department_ids for doc in doctors], d_ids).T
-                  @ _incidence([doc.hospital_ids for doc in doctors], other_ids))
-        weights = np.where(declared, np.maximum(counts, 1.0), 0.0)
-        explicit = [dept.hospital_weights for dept in depts]
+        shared = Counter((h, d) for doc in store.doctors.values()
+                         for h in doc.hospital_ids for d in doc.department_ids)
+        declared = ({(h, d) for d, dept in store.departments.items() for h in dept.hospital_ids}
+                    | {(h, d) for h, hosp in store.hospitals.items() for d in hosp.department_ids})
+        for h, d in declared:
+            if h in row_at and d in col_at:
+                cells[row_at[h], col_at[d]] = store.departments[d].hospital_weights.get(
+                    h, float(max(shared[h, d], 1)))
     else:
-        other_ids = tuple(sorted(store.doctors))
-        declared = _incidence([dept.doctor_ids for dept in depts], other_ids) > 0
-        scores = [store.doctors[p].qualification_score for p in other_ids]
-        weights = np.where(declared, [0.0 if s is None else s for s in scores], 0.0)
-        explicit = [dept.doctor_weights for dept in depts]
-    other_index = {o: j for j, o in enumerate(other_ids)}
-    for i, dept_weights in enumerate(explicit):
-        for o, w in dept_weights.items():
-            j = other_index.get(o)
-            if j is not None and declared[i, j]:
-                weights[i, j] = w
-    if rows is LayerId.HOSPITAL:
-        return AdjacencyBlock(rows=rows, cols=cols, row_ids=other_ids, col_ids=d_ids,
-                              weights=weights.T)
-    return AdjacencyBlock(rows=rows, cols=cols, row_ids=d_ids, col_ids=other_ids, weights=weights)
+        for d, dept in store.departments.items():
+            for p in dept.doctor_ids:
+                if p in col_at:
+                    score = store.doctors[p].qualification_score
+                    cells[row_at[d], col_at[p]] = dept.doctor_weights.get(
+                        p, 0.0 if score is None else score)
+    index = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    weights = from_cells((len(row_ids), len(col_ids)), *index, list(cells.values()),
+                         f"{rows.value}x{cols.value} block")
+    return AdjacencyBlock(rows=rows, cols=cols, row_ids=row_ids, col_ids=col_ids, weights=weights)
 
 
 def build_network(store: EntityStore,

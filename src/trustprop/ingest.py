@@ -351,18 +351,18 @@ def like_pct_to_rating(like_pct: float) -> float:
     return like_pct / 20.0
 
 
-def derive_department_rating(dept: DepartmentRecord, store: EntityStore) -> float:
+def derive_department_rating(dept: DepartmentRecord, store: EntityStore) -> float | None:
     """Review-count-weighted mean rating of the department's rated members.
 
     Members without a like percentage carry no rating and are skipped; if no
-    member is rated the department rates 0. When every rated member has zero
-    reviews the weights collapse, so the plain mean is used instead.
+    member is rated the department is unrated (None). When every rated member
+    has zero reviews the weights collapse, so the plain mean is used instead.
     """
     rated = [(like_pct_to_rating(doc.like_pct), doc.review_count)
              for p in sorted(dept.doctor_ids)
              if (doc := store.doctors.get(p)) is not None and doc.like_pct is not None]
     if not rated:
-        return 0.0
+        return None
     total_weight = sum(w for _, w in rated)
     if total_weight == 0:
         return sum(r for r, _ in rated) / len(rated)
@@ -378,8 +378,8 @@ def ground_truth_ratings(store: EntityStore) -> dict[str, dict[str, float]]:
     """
     return {
         "hospital": {h: rec.rating for h, rec in store.hospitals.items() if rec.rating is not None},
-        "department": {d: derive_department_rating(dept, store)
-                       for d, dept in store.departments.items()},
+        "department": {d: rating for d, dept in store.departments.items()
+                       if (rating := derive_department_rating(dept, store)) is not None},
         "doctor": {p: like_pct_to_rating(doc.like_pct)
                    for p, doc in store.doctors.items() if doc.like_pct is not None},
     }

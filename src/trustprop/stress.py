@@ -66,7 +66,7 @@ class EdgeTable:
     dst: np.ndarray
     trust: np.ndarray
     #: set only on tables from export_edge_table and the generators' copies of them
-    _support: _Support | None = field(default=None, init=False, repr=False, compare=False)
+    _support: _Support | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("tag", "src", "dst", "trust"):
@@ -96,11 +96,6 @@ def _groups(keys: Sequence) -> dict:
                           dtype=np.intp, count=len(keys))
     bounds = np.cumsum(np.bincount(inverse, minlength=len(codes)))[:-1]
     return dict(zip(codes, np.split(np.argsort(inverse, kind="stable"), bounds)))
-
-
-def _carrying(table: EdgeTable, support: _Support | None) -> EdgeTable:
-    object.__setattr__(table, "_support", support)
-    return table
 
 
 def _tag_groups(table: EdgeTable) -> dict:
@@ -154,11 +149,10 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
         values.append(cells)
         rows.append(row)
         cols.append(col)
-    columns = (tags, srcs, dsts, values)
-    table = EdgeTable(*(np.concatenate(column) if column else [] for column in columns))
+    tag, src, dst, trust = (np.concatenate(c) if c else [] for c in (tags, srcs, dsts, values))
     if not matrices or len({m.tag for m in matrices}) < len(matrices) or any(
             len(set(ids)) < len(ids) for m in matrices for ids in (m.row_ids, m.col_ids)):
-        return table
+        return EdgeTable(tag, src, dst, trust)
     bounds = np.cumsum([0] + [len(row) for row in rows]).tolist()
     slices = {m.tag: slice(a, b) for m, a, b in zip(matrices, bounds, bounds[1:]) if b > a}
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -166,10 +160,10 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     new_run = np.diff(rows, prepend=-1) != 0
     new_run[[group.start for group in slices.values()]] = True
     starts = np.flatnonzero(new_run).tolist()
-    return _carrying(table, _Support(
+    return EdgeTable(tag, src, dst, trust, _support=_Support(
         ids={m.tag: (m.row_ids, m.col_ids) for m in matrices}, slices=slices, rows=rows,
-        cols=cols, same=table.src == table.dst,
-        runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(table)])]))
+        cols=cols, same=src == dst,
+        runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(rows)])]))
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
@@ -219,7 +213,7 @@ def generate_synthetic(table: EdgeTable, config: GeneratorConfig) -> EdgeTable:
         for group in _tag_groups(table).values():
             values = table.trust[group]
             trust[group] = rng.choice(values, size=len(values), replace=True)
-    return _carrying(EdgeTable(table.tag, table.src, table.dst, trust), support)
+    return EdgeTable(table.tag, table.src, table.dst, trust, _support=support)
 
 
 @dataclass(frozen=True)

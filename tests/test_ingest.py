@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -229,6 +230,17 @@ def test_ground_truth_ratings_layers(demo_store):
     assert truth["doctor"]["P1"] == pytest.approx(4.8)
     assert truth["department"]["D4"] == pytest.approx(3.85)
     assert all(not math.isnan(v) for layer in truth.values() for v in layer.values())
+
+
+def test_department_without_a_rated_member_is_unrated(demo_store):
+    # P5 is D4's only member; D3 keeps P2's rating
+    doctors = {**demo_store.doctors, "P5": dataclasses.replace(demo_store.doctors["P5"],
+                                                                 like_pct=None)}
+    store = dataclasses.replace(demo_store, doctors=doctors)
+    assert derive_department_rating(store.departments["D4"], store) is None
+    truth = ground_truth_ratings(store)
+    assert sorted(truth["department"]) == ["D1", "D2", "D3"]
+    assert truth["department"]["D3"] == pytest.approx(4.4)
 
 
 def test_baseline_columns_cover_all_entities(demo_store):

@@ -1,16 +1,23 @@
 """Metamorphic relations of the in-process pipeline (build, trust, score).
 
 Each relation transforms a generated store in a way that must leave trust and
-scores unchanged, bit for bit. The stores come from ``test_builder``'s
-``random_store`` (consistent memberships) and ``messy_store`` (one-sided
-memberships, dangling ids, missing scores, explicit weights), each run as
-given and after ``clean``:
+scores unchanged. The stores come from ``test_builder``'s ``random_store``
+(consistent memberships) and ``messy_store`` (one-sided memberships, dangling
+ids, missing scores, explicit weights), each run as given and after ``clean``:
 
 - record order: the order of each table's records, and of each department's
   explicit weights, is not an input;
 - doctor-side scale: doubling every qualification score and every explicit
   department->doctor weight scales the department x doctor block by a power of
-  two, which row normalisation cancels exactly.
+  two, which row normalisation cancels exactly;
+- disjoint union: a store joined with a copy of another whose every id is
+  prefixed ``Z`` builds each block as the parts' blocks placed block-diagonally,
+  and scores each part as it scores alone.
+
+The first two hold bit for bit. The union's blocks do too, but its trust and
+scores agree only within ``rtol=1e-12``: a row or a score vector that grows by
+the other part's zeros is summed in a different grouping (numpy's pairwise
+sum, BLAS's blocked products).
 """
 from __future__ import annotations
 
@@ -97,3 +104,70 @@ def test_doubling_the_doctor_side_weights_changes_no_bit(store, mode, feed):
         for d, dept in store.departments.items()}
     scaled = EntityStore(doctors=doctors, hospitals=store.hospitals, departments=departments)
     assert_bit_identical(runs(store, mode, feed), runs(scaled, mode, feed))
+
+
+def prefixed(store: EntityStore, tag: str) -> EntityStore:
+    """The store with every id, also those that name no entity, prefixed by ``tag``."""
+    def ids(values):
+        return frozenset(tag + v for v in values)
+
+    def keyed(weights):
+        return {tag + k: w for k, w in weights.items()}
+
+    return EntityStore(
+        doctors={tag + p: dataclasses.replace(doc, id=tag + p, hospital_ids=ids(doc.hospital_ids),
+                                              department_ids=ids(doc.department_ids))
+                 for p, doc in store.doctors.items()},
+        hospitals={tag + h: dataclasses.replace(hosp, id=tag + h,
+                                                department_ids=ids(hosp.department_ids))
+                   for h, hosp in store.hospitals.items()},
+        departments={tag + d: dataclasses.replace(
+            dept, id=tag + d, doctor_ids=ids(dept.doctor_ids), hospital_ids=ids(dept.hospital_ids),
+            doctor_weights=keyed(dept.doctor_weights), hospital_weights=keyed(dept.hospital_weights))
+            for d, dept in store.departments.items()},
+    )
+
+
+def block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
+
+
+def constant_run(store, mode, feed):
+    """Blocks, trust and scores after a fixed 40 iterations from constant residuals."""
+    network = build_network(store, mode)
+    trusts = derive_network_trust(network)
+    residuals = {layer: generate_residual(ResidualConfig.constant(0.2), len(ids), layer, ids)
+                 for layer, ids in network.graphs.items()}
+    scored = score_network(trusts, residuals,
+                           ConvergenceConfig(epsilon=1e-300, max_iterations=40),
+                           department_feed=feed)
+    return network, trusts, scored
+
+
+@relation_settings
+@given(stores(), stores(), modes, feeds)
+def test_disjoint_union_scores_each_part_as_alone(first, second, mode, feed):
+    second = prefixed(second, "Z")
+    union = EntityStore(**{table: {**getattr(first, table), **getattr(second, table)}
+                           for table in ("doctors", "hospitals", "departments")})
+    for versions in ((first, second, union), (clean(first), clean(second), clean(union))):
+        (net_a, trusts_a, scored_a), (net_b, trusts_b, scored_b), (net, trusts, scored) = (
+            constant_run(store, mode, feed) for store in versions)
+        blocks_a, blocks_b = ({**n.intra, **n.inter} for n in (net_a, net_b))
+        for key, joined in {**net.intra, **net.inter}.items():
+            a, b = blocks_a[key], blocks_b[key]
+            assert (joined.row_ids, joined.col_ids) == (a.row_ids + b.row_ids,
+                                                        a.col_ids + b.col_ids), key
+            assert joined.weights.tobytes() == block_diagonal(a.weights, b.weights).tobytes(), key
+        for a, b, joined in zip(trusts_a.all_matrices(), trusts_b.all_matrices(),
+                                trusts.all_matrices()):
+            np.testing.assert_allclose(joined.values, block_diagonal(a.values, b.values),
+                                       rtol=1e-12, atol=0, err_msg=joined.tag)
+        for layer in LAYERS:
+            a, b, joined = (s[layer].result.scores for s in (scored_a, scored_b, scored))
+            assert joined.entity_ids == a.entity_ids + b.entity_ids, layer
+            np.testing.assert_allclose(joined.values, np.concatenate([a.values, b.values]),
+                                       rtol=1e-12, atol=0, err_msg=layer.value)
