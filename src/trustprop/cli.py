@@ -111,7 +111,8 @@ class RunConfig:
         out_dir = raw.get("out_dir", "out")
         if not all(isinstance(v, str) for v in (*inputs.values(), out_dir)):
             raise ConfigError("config.inputs and config.out_dir: paths must be strings")
-        self.inputs = {k: (config_dir / v) for k, v in inputs.items()}
+        #: the input tables' paths, in the order parse_store takes them
+        self.inputs = tuple(config_dir / inputs[k] for k in ("doctors", "hospitals", "departments"))
         self.out_dir = Path(out_override) if out_override else config_dir / out_dir
 
         with _prefixed("config.similarity_mode"):
@@ -183,16 +184,19 @@ def _network_path(config: RunConfig) -> Path:
     return config.out_dir / "network.json"
 
 
-def _load_network(config: RunConfig) -> MultiLayerNetwork:
+def _load_network(config: RunConfig) -> tuple[MultiLayerNetwork, TrustNetwork]:
+    """The bundle and its trust, once its provenance matches the config and its input tables."""
     path = _network_path(config)
     if not path.exists():
         raise InputError(f"{path} not found; run the build command first")
     network = bundle.load_network(path)
-    built_mode = network.provenance.get("similarity_mode")
-    if built_mode != config.similarity_mode.value:
-        raise InputError(f"{path} was built with similarity_mode {built_mode!r}, but the config "
-                         f"asks for {config.similarity_mode.value!r}; run the build command again")
-    return network
+    current = {"similarity_mode": config.similarity_mode.value,
+               "inputs_sha256": inputs_sha256([read_table(p) for p in config.inputs])}
+    stale = [f"{key} {network.provenance.get(key)!r} (now {value!r})"
+             for key, value in current.items() if network.provenance.get(key) != value]
+    if stale:
+        raise InputError(f"{path} was built with {' and '.join(stale)}; run the build command again")
+    return network, derive_network_trust(network)
 
 
 def _score(config: RunConfig, network: MultiLayerNetwork, trusts: TrustNetwork,
@@ -215,8 +219,7 @@ def eval_columns(store: EntityStore, network: MultiLayerNetwork) -> dict[LayerId
 
 
 def cmd_build(config: RunConfig) -> int:
-    store = parse_store(config.inputs["doctors"], config.inputs["hospitals"],
-                        config.inputs["departments"])
+    store = parse_store(*config.inputs)
     cleaned = clean(store)
     if not any(cleaned.counts().values()):
         log.warning("store is empty after cleaning; writing an empty network bundle")
@@ -235,8 +238,7 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def cmd_trust(config: RunConfig) -> int:
-    network = _load_network(config)
-    trusts = derive_network_trust(network)
+    _, trusts = _load_network(config)
     table = export_edge_table(trusts.all_matrices())
     bundle.save_trust(trusts, config.out_dir / "trust.json")
     bundle.write_trust_values_csv(table, config.out_dir / "trust_values.csv")
@@ -246,8 +248,7 @@ def cmd_trust(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
-    network = _load_network(config)
-    trusts = derive_network_trust(network)
+    network, trusts = _load_network(config)
     scored = _score(config, network, trusts, config.residuals)
     for layer, layer_scores in scored.items():
         bundle.write_scores_csv(layer_scores, config.out_dir / f"scores_{layer.value}.csv")
@@ -262,15 +263,10 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    network = _load_network(config)
+    network, trusts = _load_network(config)
     if any("rating" not in network.columns.get(layer, {}) for layer in LAYERS):
         raise InputError(f"{_network_path(config)} holds no ratings or baselines; "
                          "run the build command again")
-    paths = [config.inputs[name] for name in ("doctors", "hospitals", "departments")]
-    if inputs_sha256([read_table(p) for p in paths]) != network.provenance.get("inputs_sha256"):
-        raise InputError(f"the input tables differ from those {_network_path(config)} was "
-                         "built from; run the build command again")
-    trusts = derive_network_trust(network)
     columns = {layer: {name: dict(zip(network.node_ids(layer), values))
                        for name, values in network.columns[layer].items()} for layer in LAYERS}
     truths = {layer: {i: v for i, v in columns[layer].pop("rating").items() if v is not None}
@@ -296,8 +292,7 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_stress(config: RunConfig) -> int:
-    network = _load_network(config)
-    trusts = derive_network_trust(network)
+    network, trusts = _load_network(config)
     true_scores = _score(config, network, trusts, config.residuals)
     runs = run_stress(trusts, true_scores, config.stress, config.stress_seeds,
                       config.convergence, config.damping, config.department_feed,

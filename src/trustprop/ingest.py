@@ -226,7 +226,7 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
     Range checks happen here (a like percentage of 130 is a malformed row, not
     a cleanable record); relational checks are clean()'s job. Provenance
     records the raw counts and ``inputs_sha256``, a digest of the three files'
-    bytes, by which ``eval`` tells whether a network was built from these tables.
+    bytes, by which the scoring commands tell whether a network was built from these tables.
     """
     store = EntityStore()
     dpath, hpath, ppath = (str(Path(p)) for p in (doctors_path, hospitals_path, departments_path))

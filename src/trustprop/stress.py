@@ -76,17 +76,20 @@ class EdgeTable:
         shapes = {self.tag.shape, self.src.shape, self.dst.shape, self.trust.shape}
         if self.trust.ndim != 1 or len(shapes) != 1:
             raise InputError("edge table columns must be 1-dimensional and of equal length")
-        unknown = set(self.tag.tolist()) - _TAGS
+        # a table with cells has the tags of the matrices those cells came from
+        unknown = set(self._support.slices if self._support else self.tag.tolist()) - _TAGS
         if unknown:
             raise InputError(f"unknown layer tag {min(unknown)!r}")
-        bad = np.flatnonzero(~(np.isfinite(self.trust) & (self.trust >= 0)))
-        if bad.size:
-            k = bad[0]
-            raise InputError(f"edge trust must be finite and non-negative, got {self.trust[k]} "
-                             f"({self.tag[k]}: {self.src[k]}->{self.dst[k]})")
+        self._refuse(~(np.isfinite(self.trust) & (self.trust >= 0)), "finite and non-negative")
 
     def __len__(self) -> int:
         return len(self.trust)
+
+    def _refuse(self, bad: np.ndarray, rule: str) -> None:
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InputError(f"edge trust must be {rule}, got {self.trust[k]} "
+                             f"({self.tag[k]}: {self.src[k]}->{self.dst[k]})")
 
 
 def _groups(keys: Sequence) -> dict:
@@ -167,7 +170,8 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
-    """Write the table as a CSV artifact with 12 significant digits of trust."""
+    """Write the table as a CSV artifact: 12 significant digits of trust, which must be positive."""
+    table._refuse(table.trust == 0, f"positive to be written to {path}")
     write_csv(path, EDGE_TABLE_SCHEMA, _EDGE_HEADER,
               zip(table.tag, table.src, table.dst, map(format_float, table.trust.tolist())))
 

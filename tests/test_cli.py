@@ -20,7 +20,7 @@ import trustprop.ingest
 from trustprop import build_network, bundle, clean, derive_network_trust, parse_store
 from trustprop.bundle import load_network
 from trustprop.cli import _score, load_config, main
-from trustprop.ingest import baseline_columns, ground_truth_ratings
+from trustprop.ingest import baseline_columns, ground_truth_ratings, inputs_sha256
 from trustprop.metrics import layer_reports
 from trustprop.model import LAYERS
 
@@ -186,26 +186,40 @@ def refuse_to_parse(monkeypatch):
         monkeypatch.setattr(module, "clean", refuse)
 
 
-def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog, monkeypatch):
+def copy_demo(directory):
     for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
-        shutil.copy(DEMO / name, tmp_path / name)
+        shutil.copy(DEMO / name, directory / name)
+
+
+def digest_message(tables, out):
+    """The refusal of a bundle built from other input tables than those in ``tables``."""
+    built = load_network(out / "network.json").provenance["inputs_sha256"]
+    now = inputs_sha256([(tables / name).read_bytes()
+                         for name in ("doctors.csv", "hospitals.csv", "departments.csv")])
+    return (f"{out / 'network.json'} was built with inputs_sha256 {built!r} (now {now!r}); "
+            "run the build command again")
+
+
+def drop_last_doctor(directory, out):
+    doctors = directory / "doctors.csv"
+    doctors.write_text("".join(doctors.read_text().splitlines(keepends=True)[:-1]))
+    return digest_message(directory, out)
+
+
+def test_eval_on_inputs_changed_since_build_exits_two(tmp_path, out, caplog, monkeypatch):
+    copy_demo(tmp_path)
     run_pipeline(tmp_path / "config.json", out, commands=("build",))
-    doctors = tmp_path / "doctors.csv"
-    doctors.write_text("".join(line for line in doctors.read_text().splitlines(keepends=True)
-                               if not line.startswith("P5,")))
+    message = drop_last_doctor(tmp_path, out)
     # the digest alone refuses the tables: eval parses none of them
     refuse_to_parse(monkeypatch)
     with caplog.at_level("ERROR", logger="trustprop"):
         assert main(["eval", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
-    assert [record.message for record in caplog.records] == [
-        f"the input tables differ from those {out / 'network.json'} was built from; "
-        "run the build command again"]
+    assert [record.message for record in caplog.records] == [message]
     assert not (out / "metrics.csv").exists()
 
 
 def test_eval_on_memberships_changed_since_build_exits_two(tmp_path, out, caplog):
-    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
-        shutil.copy(DEMO / name, tmp_path / name)
+    copy_demo(tmp_path)
     run_pipeline(tmp_path / "config.json", out, commands=("build",))
     doctors = tmp_path / "doctors.csv"
     text = doctors.read_text()
@@ -214,38 +228,46 @@ def test_eval_on_memberships_changed_since_build_exits_two(tmp_path, out, caplog
     assert doctors.read_text() != text
     with caplog.at_level("ERROR", logger="trustprop"):
         assert main(["eval", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
-    assert any("input tables differ" in record.message and "run the build command again"
-               in record.message for record in caplog.records)
+    assert [record.message for record in caplog.records] == [digest_message(tmp_path, out)]
     assert not (out / "metrics.csv").exists()
     # a fresh build makes eval usable again
     run_pipeline(tmp_path / "config.json", out, commands=("build", "eval"))
 
 
-def test_similarity_mode_changed_since_build_exits_two(tmp_path, out, caplog):
-    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
-        shutil.copy(DEMO / name, tmp_path / name)
-    run_pipeline(tmp_path / "config.json", out, commands=("build",))
-    config = json.loads((tmp_path / "config.json").read_text())
-    (tmp_path / "config.json").write_text(json.dumps({**config, "similarity_mode": "jaccard"}))
-    commands = ("trust", "score", "eval", "stress")
-    for command in commands:
+def use_jaccard(directory, out):
+    config = json.loads((directory / "config.json").read_text())
+    (directory / "config.json").write_text(json.dumps({**config, "similarity_mode": "jaccard"}))
+    return (f"{out / 'network.json'} was built with similarity_mode 'intersection_count' "
+            "(now 'jaccard'); run the build command again")
+
+
+#: the commands that score network.json, each of which refuses a stale bundle
+SCORING_COMMANDS = ("trust", "score", "eval", "stress")
+
+
+@pytest.mark.parametrize("edit", [use_jaccard, drop_last_doctor], ids=["jaccard", "doctor-row"])
+def test_similarity_mode_changed_since_build_exits_two(tmp_path, out, caplog, edit):
+    copy_demo(tmp_path)
+    config = str(tmp_path / "config.json")
+    run_pipeline(config, out, commands=("build",))
+    message = edit(tmp_path, out)
+    for command in SCORING_COMMANDS:
         caplog.clear()
         with caplog.at_level("ERROR", logger="trustprop"):
-            assert main([command, "--config", str(tmp_path / "config.json"),
-                         "--out", str(out)]) == 2, command
-        assert any("built with similarity_mode 'intersection_count'" in record.message
-                   and "run the build command again" in record.message
-                   for record in caplog.records), command
+            assert main([command, "--config", config, "--out", str(out)]) == 2, command
+        assert [record.message for record in caplog.records] == [message], command
     # no command wrote any of its artifacts
     assert [path.name for path in out.iterdir()] == ["network.json"]
+    # staleness is information for report, not a refusal
+    assert main(["report", "--config", config, "--out", str(out)]) == 0
     # a fresh build makes every command usable again
-    run_pipeline(tmp_path / "config.json", out, commands=("build", *commands))
+    run_pipeline(config, out, commands=("build", *SCORING_COMMANDS))
 
 
 def test_eval_parses_no_table_after_build(out, monkeypatch):
     run_pipeline(DEMO / "config.json", out, commands=("build",))
     refuse_to_parse(monkeypatch)
-    assert main(["eval", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
+    run_pipeline(DEMO / "config.json", out, commands=SCORING_COMMANDS)
     assert (out / "metrics.csv").exists()
 
 
@@ -284,8 +306,7 @@ def in_process_metrics(config_path, path):
     """metrics.csv as eval wrote it when it read ground truth and baselines from the
     cleaned tables: each scenario's social scores, then each baseline column."""
     config = load_config(str(config_path), None, None)
-    store = clean(parse_store(*(config.inputs[name]
-                                for name in ("doctors", "hospitals", "departments"))))
+    store = clean(parse_store(*config.inputs))
     network = build_network(store, config.similarity_mode)
     trusts = derive_network_trust(network)
     truths, baselines = ground_truth_ratings(store), baseline_columns(store)

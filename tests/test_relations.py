@@ -10,11 +10,14 @@ ids, missing scores, explicit weights), each run as given and after ``clean``:
 - doctor-side scale: doubling every qualification score and every explicit
   department->doctor weight scales the department x doctor block by a power of
   two, which row normalisation cancels exactly;
+- order-preserving renaming: replacing every id, dangling ones included, by
+  its rank in sorted order at a fixed width (``N0000``, ``N0001``, ...) keeps
+  every block, trust value and score, since node order is the ids' sorted order;
 - disjoint union: a store joined with a copy of another whose every id is
   prefixed ``Z`` builds each block as the parts' blocks placed block-diagonally,
   and scores each part as it scores alone.
 
-The first two hold bit for bit. The union's blocks do too, but its trust and
+The first three hold bit for bit. The union's blocks do too, but its trust and
 scores agree only within ``rtol=1e-12``: a row or a score vector that grows by
 the other part's zeros is summed in a different grouping (numpy's pairwise
 sum, BLAS's blocked products).
@@ -47,10 +50,11 @@ def stores(draw):
 
 
 def runs(store, mode, feed):
-    """Trust and scores of the store as given and of its cleaned copy."""
+    """Blocks, trust and scores of the store as given and of its cleaned copy."""
     out = []
     for version in (store, clean(store)):
-        trusts = derive_network_trust(build_network(version, mode))
+        network = build_network(version, mode)
+        trusts = derive_network_trust(network)
         residuals = {}
         for index, layer in enumerate(LAYERS):
             ids = trusts.intra[layer].row_ids
@@ -58,18 +62,23 @@ def runs(store, mode, feed):
                                                  layer, ids)
         scored = score_network(trusts, residuals, ConvergenceConfig(max_iterations=40),
                                department_feed=feed)
-        out.append((trusts, scored))
+        out.append((network, trusts, scored))
     return out
 
 
-def assert_bit_identical(runs_a, runs_b):
-    for (trusts_a, scored_a), (trusts_b, scored_b) in zip(runs_a, runs_b):
+def assert_bit_identical(runs_a, runs_b, name=lambda i: i):
+    """Trust and scores agree bit for bit, where ``name`` maps an id of ``runs_a``
+    to its id in ``runs_b``."""
+    def names(ids):
+        return tuple(map(name, ids))
+
+    for (_, trusts_a, scored_a), (_, trusts_b, scored_b) in zip(runs_a, runs_b):
         for a, b in zip(trusts_a.all_matrices(), trusts_b.all_matrices()):
-            assert (a.tag, a.row_ids, a.col_ids) == (b.tag, b.row_ids, b.col_ids)
+            assert (a.tag, names(a.row_ids), names(a.col_ids)) == (b.tag, b.row_ids, b.col_ids)
             assert a.values.tobytes() == b.values.tobytes(), a.tag
         for layer in LAYERS:
             a, b = scored_a[layer].result, scored_b[layer].result
-            assert a.scores.entity_ids == b.scores.entity_ids, layer
+            assert names(a.scores.entity_ids) == tuple(b.scores.entity_ids), layer
             assert a.scores.values.tobytes() == b.scores.values.tobytes(), layer
             assert (a.iterations, a.deltas) == (b.iterations, b.deltas), layer
 
@@ -106,26 +115,53 @@ def test_doubling_the_doctor_side_weights_changes_no_bit(store, mode, feed):
     assert_bit_identical(runs(store, mode, feed), runs(scaled, mode, feed))
 
 
-def prefixed(store: EntityStore, tag: str) -> EntityStore:
-    """The store with every id, also those that name no entity, prefixed by ``tag``."""
+def renamed(store: EntityStore, name) -> EntityStore:
+    """The store with every id, also those that name no entity, replaced by ``name(id)``."""
     def ids(values):
-        return frozenset(tag + v for v in values)
+        return frozenset(name(v) for v in values)
 
     def keyed(weights):
-        return {tag + k: w for k, w in weights.items()}
+        return {name(k): w for k, w in weights.items()}
 
     return EntityStore(
-        doctors={tag + p: dataclasses.replace(doc, id=tag + p, hospital_ids=ids(doc.hospital_ids),
+        doctors={name(p): dataclasses.replace(doc, id=name(p), hospital_ids=ids(doc.hospital_ids),
                                               department_ids=ids(doc.department_ids))
                  for p, doc in store.doctors.items()},
-        hospitals={tag + h: dataclasses.replace(hosp, id=tag + h,
+        hospitals={name(h): dataclasses.replace(hosp, id=name(h),
                                                 department_ids=ids(hosp.department_ids))
                    for h, hosp in store.hospitals.items()},
-        departments={tag + d: dataclasses.replace(
-            dept, id=tag + d, doctor_ids=ids(dept.doctor_ids), hospital_ids=ids(dept.hospital_ids),
+        departments={name(d): dataclasses.replace(
+            dept, id=name(d), doctor_ids=ids(dept.doctor_ids), hospital_ids=ids(dept.hospital_ids),
             doctor_weights=keyed(dept.doctor_weights), hospital_weights=keyed(dept.hospital_weights))
             for d, dept in store.departments.items()},
     )
+
+
+def all_ids(store: EntityStore) -> set[str]:
+    """Every id the store holds, dangling ones included: the ids ``renamed`` replaces."""
+    seen: set[str] = set()
+    renamed(store, lambda i: seen.add(i) or i)
+    return seen
+
+
+@relation_settings
+@given(stores(), modes, feeds, st.data())
+def test_order_preserving_renaming_changes_no_number(store, mode, feed, data):
+    # first give the ids lengths that differ, so that an order by length is not the sorted one
+    ids = sorted(all_ids(store))
+    fresh = data.draw(st.lists(st.text("0123456789AZ", min_size=1, max_size=3), unique=True,
+                               min_size=len(ids), max_size=len(ids)))
+    store = renamed(store, dict(zip(ids, fresh)).__getitem__)
+    rank = {name: f"N{r:04d}" for r, name in enumerate(sorted(all_ids(store)))}.__getitem__
+    runs_a, runs_b = runs(store, mode, feed), runs(renamed(store, rank), mode, feed)
+    assert_bit_identical(runs_a, runs_b, rank)
+    for (network_a, *_), (network_b, *_) in zip(runs_a, runs_b):
+        blocks_b = {**network_b.intra, **network_b.inter}
+        for key, a in {**network_a.intra, **network_a.inter}.items():
+            b = blocks_b[key]
+            assert (tuple(map(rank, a.row_ids)), tuple(map(rank, a.col_ids))) == (
+                b.row_ids, b.col_ids), key
+            assert a.weights.tobytes() == b.weights.tobytes(), key
 
 
 def block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,7 +186,7 @@ def constant_run(store, mode, feed):
 @relation_settings
 @given(stores(), stores(), modes, feeds)
 def test_disjoint_union_scores_each_part_as_alone(first, second, mode, feed):
-    second = prefixed(second, "Z")
+    second = renamed(second, lambda i: "Z" + i)
     union = EntityStore(**{table: {**getattr(first, table), **getattr(second, table)}
                            for table in ("doctors", "hospitals", "departments")})
     for versions in ((first, second, union), (clean(first), clean(second), clean(union))):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,18 @@ def test_read_rejects_malformed_row(tmp_path):
         path.write_text(f"# schema: trust-edges/1\nlayer,src,dst,trust\n{row}\n", encoding="utf-8")
         with pytest.raises(MalformedRowError):
             read_edge_table(path)
+
+
+def test_write_refuses_a_zero_draw(tmp_path, demo_trust):
+    table = export_edge_table(demo_trust.all_matrices())
+    # a concentration this small draws trust values that underflow to zero
+    synth = generate_synthetic(table, GeneratorConfig(method=GeneratorMethod.DIRICHLET,
+                                                      concentration=0.01, seed=1))
+    path = tmp_path / "edges.csv"
+    with pytest.raises(InputError, match=re.escape(
+            f"edge trust must be positive to be written to {path}, got 0.0 (h: H1->H3)")):
+        write_edge_table(synth, path)
+    assert not path.exists()
 
 
 def test_identity_generator_copies(demo_trust):
