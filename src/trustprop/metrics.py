@@ -8,6 +8,7 @@ their own.
 """
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
@@ -116,14 +117,18 @@ def _scored_dict(scored: Mapping) -> dict[str, float]:
     return {str(k): float(v) for k, v in scored.items()}
 
 
-def top_k_ids(scored: Mapping[str, float], k: int) -> list[str]:
-    """Ids of the k highest scores, ties broken by ascending id."""
-    scores = _scored_dict(scored)
+def _top_k(scores: dict[str, float], k: int) -> list[str]:
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
     if k > len(scores):
         raise InputError(f"k={k} exceeds the {len(scores)} scored items")
-    return sorted(scores, key=lambda i: (-scores[i], i))[:k]
+    # defined as sorted(...)[:k], without sorting the ids past the k-th
+    return heapq.nsmallest(k, scores, key=lambda i: (-scores[i], i))
+
+
+def top_k_ids(scored: Mapping[str, float], k: int) -> list[str]:
+    """Ids of the k highest scores, ties broken by ascending id."""
+    return _top_k(_scored_dict(scored), k)
 
 
 def precision_at_k(predicted: Mapping[str, float], truth: Mapping[str, float],
@@ -142,7 +147,7 @@ def precision_at_k(predicted: Mapping[str, float], truth: Mapping[str, float],
             f"predicted and truth must score the same ids "
             f"(only-predicted: {only_pred}, only-truth: {only_true})"
         )
-    overlap = len(set(top_k_ids(pred, k)) & set(top_k_ids(true, k)))
+    overlap = len(set(_top_k(pred, k)) & set(_top_k(true, k)))
     precision = overlap / k
     recall = overlap / k
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)

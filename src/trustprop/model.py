@@ -13,13 +13,17 @@ share one base, ``_LabelledMatrix``, which owns the row and column labels and
 everything read from them. That base is the one storage seam: a sparse backend
 behind the ``weights``/``values`` attributes would slot in there. The moves
 between a matrix and its nonzero cells (``nonzero_cells``, ``from_cells``) and
-the checks on cell values (``cell_violations``) live here and nowhere else.
+the checks on cell values (``cell_violations``) live here and nowhere else. A
+``TrustMatrix`` finds its nonzero count and its cells once, on first use, and
+keeps them read-only (``nonzero_count``, ``cells``): propagation multiplies over
+the cells and the edge table shares them, so a matrix is scanned once per process.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -210,12 +214,29 @@ class TrustMatrix(_LabelledMatrix):
     to 1 within 1e-9, except rows whose source had no edges, which stay all
     zero. ``violations`` reports breaches instead of the constructor raising,
     for the same inspectability reason as AdjacencyBlock.
+
+    ``values`` is read-only, so the cached ``nonzero_count`` and ``cells`` can
+    never go stale; a matrix with other values is a new instance.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         _freeze_matrix(self, "values", f"{self.tag} trust matrix")
+
+    @cached_property
+    def nonzero_count(self) -> int:
+        """How many cells of ``values`` are nonzero, counted once."""
+        return int(np.count_nonzero(self.values))
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`nonzero_cells` of ``values``, found once and read-only, since
+        callers such as the edge table keep them."""
+        cells = nonzero_cells(self.values)
+        for array in cells:
+            array.setflags(write=False)
+        return cells
 
     def violations(self) -> list[str]:
         return cell_violations(f"{self.tag} trust", self.values, self.row_ids, self.col_ids,

@@ -22,7 +22,7 @@ import numpy as np
 from .bundle import format_float, read_csv, write_csv
 from .errors import ConfigError, InputError, MalformedRowError
 from .metrics import MetricsReport, layer_reports
-from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells, nonzero_cells
+from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells
 from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_network
 from .trust import TrustNetwork, _normalize_rows
 
@@ -38,16 +38,16 @@ _TAGS = frozenset([layer.tag for layer in LAYERS] + [a.tag + b.tag for a, b in I
 class _Support:
     """The cells :func:`export_edge_table` read a table's records from.
 
-    Per tag: the matrix ids the cells index and the tag's records, which are
-    contiguous (empty matrices have none). Per record: its row and column and
-    whether its source and target share an id. ``runs`` are the slices of
-    records that share a (tag, src) row, in table order.
+    Per tag: the matrix ids the cells index, the tag's records, which are
+    contiguous (empty matrices have none), and those records' rows and columns
+    (the matrix's own read-only ``cells``). Per record: whether its source and
+    target share an id. ``runs`` are the slices of records that share a
+    (tag, src) row, in table order.
     """
 
     ids: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
     slices: dict[str, slice]
-    rows: np.ndarray
-    cols: np.ndarray
+    cells: dict[str, tuple[np.ndarray, np.ndarray]]
     same: np.ndarray
     runs: list[slice]
 
@@ -143,30 +143,26 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     run of records.
     """
     matrices = list(matrices)
-    tags, srcs, dsts, values, rows, cols = [], [], [], [], [], []
+    tags, srcs, dsts, values = [], [], [], []
     for matrix in matrices:
-        row, col, cells = nonzero_cells(matrix.values)
+        row, col, cells = matrix.cells
         tags.append(np.full(len(row), matrix.tag, dtype=object))
         srcs.append(np.asarray(matrix.row_ids, dtype=object)[row])
         dsts.append(np.asarray(matrix.col_ids, dtype=object)[col])
         values.append(cells)
-        rows.append(row)
-        cols.append(col)
     tag, src, dst, trust = (np.concatenate(c) if c else [] for c in (tags, srcs, dsts, values))
     if not matrices or len({m.tag for m in matrices}) < len(matrices) or any(
             len(set(ids)) < len(ids) for m in matrices for ids in (m.row_ids, m.col_ids)):
         return EdgeTable(tag, src, dst, trust)
-    bounds = np.cumsum([0] + [len(row) for row in rows]).tolist()
+    bounds = np.cumsum([0] + [len(cells) for cells in values]).tolist()
     slices = {m.tag: slice(a, b) for m, a, b in zip(matrices, bounds, bounds[1:]) if b > a}
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    # a run starts wherever the row index changes and at each tag's first record
-    new_run = np.diff(rows, prepend=-1) != 0
-    new_run[[group.start for group in slices.values()]] = True
-    starts = np.flatnonzero(new_run).tolist()
+    # a run starts wherever the row index changes, which includes each tag's first record
+    starts = np.flatnonzero(np.concatenate(
+        [np.diff(m.cells[0], prepend=-1) != 0 for m in matrices])).tolist()
     return EdgeTable(tag, src, dst, trust, _support=_Support(
-        ids={m.tag: (m.row_ids, m.col_ids) for m in matrices}, slices=slices, rows=rows,
-        cols=cols, same=src == dst,
-        runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(rows)])]))
+        ids={m.tag: (m.row_ids, m.col_ids) for m in matrices}, slices=slices,
+        cells={m.tag: m.cells[:2] for m in matrices}, same=src == dst,
+        runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(trust)])]))
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
@@ -250,7 +246,7 @@ def rebuild_trust(table: EdgeTable,
     for tag, template in shapes.items():
         group = by_tag.get(tag, np.zeros(0, dtype=np.intp))
         if support and support.ids.get(tag) == (template.row_ids, template.col_ids):
-            rows, cols, same = support.rows[group], support.cols[group], support.same[group]
+            (rows, cols), same = support.cells[tag], support.same[group]
         else:
             src, dst = table.src[group], table.dst[group]
             rows, cols = _positions(template.row_ids, src), _positions(template.col_ids, dst)

@@ -182,7 +182,9 @@ def test_precision_at_k_brute_force():
         true = {i: float(rng.integers(0, 5)) for i in ids}
         k = int(rng.integers(1, 9))
         p, r, f1 = precision_at_k(pred, true, k)
-        overlap = len(set(top_k_ids(pred, k)) & set(top_k_ids(true, k)))
+        top = [sorted(scores, key=lambda i: (-scores[i], i))[:k] for scores in (pred, true)]
+        assert [top_k_ids(pred, k), top_k_ids(true, k)] == top
+        overlap = len(set(top[0]) & set(top[1]))
         assert p == r == overlap / k
         assert f1 == pytest.approx(p if p == 0 else 2 * p * r / (p + r))
 

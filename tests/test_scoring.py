@@ -22,6 +22,7 @@ from trustprop import (
 from trustprop.builder import SimilarityMode
 from trustprop.errors import ConfigError, InputError
 from trustprop.model import ScoreKind
+from trustprop.scoring import _row_order_product
 
 H = LayerId.HOSPITAL
 D = LayerId.DEPARTMENT
@@ -245,6 +246,65 @@ def test_empty_layer_propagates_trivially():
     s0 = ScoreVector(layer=H, kind=ScoreKind.INITIAL, entity_ids=(), values=np.zeros(0))
     result = propagate(s0, trust)
     assert result.converged and result.iterations == 0
+
+
+# --- row-order products ---
+
+def row_order_loop(vector, values):
+    """The reference product: acc = acc + vector[i] * T[i], one row after another."""
+    acc = np.zeros(values.shape[1])
+    for i in range(values.shape[0]):
+        acc = acc + vector[i] * values[i]
+    return acc
+
+
+def random_stochastic(rng, n_rows, n_cols, share):
+    """Row-stochastic values with about ``share`` of the cells nonzero; empty rows stay zero."""
+    weights = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < share)
+    sums = weights.sum(axis=1, keepdims=True)
+    return np.divide(weights, sums, out=np.zeros_like(weights), where=sums > 0)
+
+
+@pytest.mark.parametrize("n", [40, 120, 300])
+@pytest.mark.parametrize("share", [0.06, 0.5])
+def test_products_sum_in_row_order_bit_for_bit(n, share):
+    """One propagation step and one initial score equal the row-order loop exactly,
+    whether the matrix is multiplied over its cells (below an eighth full) or its
+    dense values, so the bits do not depend on how BLAS splits a product."""
+    rng = np.random.default_rng(n)
+    trust = trust_from(random_stochastic(rng, n, n, share))
+    assert (trust.nonzero_count >= trust.values.size / 8) == (share > 1 / 8)
+    s0 = scores_from(rng.random(n))
+    step = propagate(s0, trust, ConvergenceConfig(max_iterations=1))
+    assert np.array_equal(step.scores.values, row_order_loop(s0.values, trust.values))
+
+    m = n // 2 + 7
+    feed_trust = TrustMatrix(rows=D, cols=H, row_ids=tuple(f"d{i}" for i in range(m)),
+                             col_ids=s0.entity_ids, values=random_stochastic(rng, m, n, share))
+    feed = scores_from(rng.random(m), layer=D, kind=ScoreKind.RESIDUAL)
+    own = scores_from(rng.random(n), kind=ScoreKind.RESIDUAL)
+    initial = initial_score(own, feed, feed_trust)
+    assert np.array_equal(initial.values,
+                          own.values + row_order_loop(feed.values, feed_trust.values))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (5, 5)])
+def test_products_without_cells_are_float_zeros(shape):
+    """An empty or all-zero matrix multiplies to float64 zeros (np.bincount over no
+    weights would give int64)."""
+    n_rows, n_cols = shape
+    trust = TrustMatrix(rows=D, cols=H, row_ids=tuple(f"d{i}" for i in range(n_rows)),
+                        col_ids=tuple(f"h{i}" for i in range(n_cols)), values=np.zeros(shape))
+    feed = scores_from(np.full(n_rows, 0.5), layer=D, kind=ScoreKind.RESIDUAL)
+    product = _row_order_product(feed.values, trust)
+    assert product.dtype == np.float64 and np.array_equal(product, np.zeros(n_cols))
+    own = scores_from(np.full(n_cols, 0.25), kind=ScoreKind.RESIDUAL)
+    assert np.array_equal(initial_score(own, feed, trust).values, own.values)
+    if n_rows == n_cols:
+        step = propagate(scores_from(feed.values), trust_from(np.zeros(shape)),
+                         ConvergenceConfig(max_iterations=1))
+        assert step.scores.values.dtype == np.float64
+        assert np.array_equal(step.scores.values, np.zeros(n_cols))
 
 
 # --- whole-network scoring ---

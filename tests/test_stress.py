@@ -25,10 +25,12 @@ from trustprop import (
     stress_compare,
     write_edge_table,
 )
+from trustprop import model
 from trustprop.errors import InputError, MalformedRowError
+from trustprop.ingest import EntityStore
 from trustprop.stress import trust_network_from_tags
 
-from test_builder import random_store
+from test_builder import make_department, make_doctor, make_hospital, random_store
 
 
 def demo_scores(demo_network, demo_trust, **kwargs):
@@ -364,3 +366,49 @@ def test_matrices_sharing_a_tag_export_without_cells(demo_trust):
     assert table._support is None
     with pytest.raises(InputError, match="more than once"):
         rebuild_trust(table, demo_trust.by_tag())
+
+
+def sparse_store(n_doctors=120):
+    """Doctor i works at hospital i mod 20 and in department i mod 40, so every block
+    is less than an eighth full."""
+    doctors = {f"P{i:03d}": make_doctor(f"P{i:03d}", {f"H{i % 20:02d}"}, {f"D{i % 40:02d}"},
+                                        score=float(i % 7 + 1))
+               for i in range(n_doctors)}
+    members, hosts, departments = {}, {}, {}
+    for ident, doctor in doctors.items():
+        for d in doctor.department_ids:
+            members.setdefault(d, set()).add(ident)
+            hosts.setdefault(d, set()).update(doctor.hospital_ids)
+            for h in doctor.hospital_ids:
+                departments.setdefault(h, set()).add(d)
+    return EntityStore(
+        doctors=doctors, hospitals={h: make_hospital(h, ds) for h, ds in departments.items()},
+        departments={d: make_department(d, members[d], hosts[d]) for d in members})
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_each_trust_matrix_is_scanned_once(monkeypatch, demo_store, sparse):
+    """Scoring three times and exporting once scan each matrix for its cells once:
+    products over the cells and the edge table read the same read-only arrays."""
+    network = build_network(sparse_store() if sparse else demo_store)
+    trusts = derive_network_trust(network)
+    matrices = trusts.all_matrices()
+    assert {m.nonzero_count < m.values.size / 8 for m in matrices} == {sparse}
+    scanned = []
+    scan = model.nonzero_cells
+
+    def counted(values):
+        scanned.append(values)
+        return scan(values)
+
+    monkeypatch.setattr(model, "nonzero_cells", counted)
+    for _ in range(3):
+        demo_scores(network, trusts)
+    table = export_edge_table(matrices)
+    for m in matrices:
+        assert sum(values is m.values for values in scanned) == 1, m.tag
+        for cached, fresh in zip(m.cells, scan(m.values)):
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, fresh), m.tag
+        assert all(a is b for a, b in zip(table._support.cells[m.tag], m.cells[:2]))
+    assert len(scanned) == len(matrices)
