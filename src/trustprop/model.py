@@ -231,8 +231,8 @@ class TrustMatrix(_LabelledMatrix):
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`nonzero_cells` of ``values``, found once and read-only, since
-        callers such as the edge table keep them."""
+        """:func:`nonzero_cells` of ``values``, found once and read-only: propagation reads
+        them each step, and an edge table keeps the matrix and reads them each rebuild."""
         cells = nonzero_cells(self.values)
         for array in cells:
             array.setflags(write=False)

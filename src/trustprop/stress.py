@@ -3,9 +3,9 @@
 The trust matrices flatten to a columnar edge table (one row per positive cell). A
 generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
-is pivoted back into matrices, renormalized, and scored again. An exported table
-carries the cells its records came from, so a stress run looks each record up
-once and each seed only redraws the values and scatters them back. Comparing the
+is pivoted back into matrices, renormalized in place, and scored again. An exported
+table carries the matrices its records came from, whose cells locate each record,
+so each seed only redraws the values and scatters them back. Comparing the
 rescored network against the original quantifies how much the scoring pipeline
 leans on the exact trust values. ``write_edge_table`` and ``read_edge_table``
 keep the edge table's CSV format here, on :mod:`bundle`'s one CSV codec.
@@ -36,19 +36,15 @@ _TAGS = frozenset([layer.tag for layer in LAYERS] + [a.tag + b.tag for a, b in I
 
 @dataclass(frozen=True, eq=False)
 class _Support:
-    """The cells :func:`export_edge_table` read a table's records from.
+    """The matrices :func:`export_edge_table` read a table's records from.
 
-    Per tag: the matrix ids the cells index, the tag's records, which are
-    contiguous (empty matrices have none), and those records' rows and columns
-    (the matrix's own read-only ``cells``). Per record: whether its source and
-    target share an id. ``runs`` are the slices of records that share a
-    (tag, src) row, in table order.
+    Per tag: the source matrix, whose ids and read-only ``cells`` locate the tag's
+    records, and those records, which are contiguous (empty matrices have none).
+    ``runs`` are the slices of records that share a (tag, src) row, in table order.
     """
 
-    ids: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
+    matrices: dict[str, TrustMatrix]
     slices: dict[str, slice]
-    cells: dict[str, tuple[np.ndarray, np.ndarray]]
-    same: np.ndarray
     runs: list[slice]
 
 
@@ -139,7 +135,7 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     """Flatten trust matrices to an edge table, row-major, skipping zero cells.
 
     When each matrix has its own tag and no repeated id, the table carries the
-    cells it was read from, and so a (tag, src) row or a tag is a contiguous
+    matrices it was read from, and so a (tag, src) row or a tag is a contiguous
     run of records.
     """
     matrices = list(matrices)
@@ -160,8 +156,7 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     starts = np.flatnonzero(np.concatenate(
         [np.diff(m.cells[0], prepend=-1) != 0 for m in matrices])).tolist()
     return EdgeTable(tag, src, dst, trust, _support=_Support(
-        ids={m.tag: (m.row_ids, m.col_ids) for m in matrices}, slices=slices,
-        cells={m.tag: m.cells[:2] for m in matrices}, same=src == dst,
+        matrices={m.tag: m for m in matrices}, slices=slices,
         runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(trust)])]))
 
 
@@ -233,8 +228,8 @@ def rebuild_trust(table: EdgeTable,
     InputError. Records on an intra-layer diagonal are dropped and counted,
     since self-trust is structurally excluded. Every row is renormalized, so
     record values only set row proportions. Records are found in each matrix
-    by their ids, unless the table carries cells resolved against that
-    matrix's very ids.
+    by their ids, unless the table carries a source matrix with that matrix's
+    very ids, whose cells they are.
     """
     support = table._support
     by_tag = _tag_groups(table)
@@ -245,8 +240,11 @@ def rebuild_trust(table: EdgeTable,
     dropped: dict[str, int] = {}
     for tag, template in shapes.items():
         group = by_tag.get(tag, np.zeros(0, dtype=np.intp))
-        if support and support.ids.get(tag) == (template.row_ids, template.col_ids):
-            (rows, cols), same = support.cells[tag], support.same[group]
+        source = support.matrices.get(tag) if support else None
+        if source and (source.row_ids, source.col_ids) == (template.row_ids, template.col_ids):
+            rows, cols = source.cells[:2]
+            # src equals dst by name where the column is the row id's place among the col ids
+            same = cols == _positions(source.col_ids, source.row_ids)[rows]
         else:
             src, dst = table.src[group], table.dst[group]
             rows, cols = _positions(template.row_ids, src), _positions(template.col_ids, dst)
@@ -260,7 +258,7 @@ def rebuild_trust(table: EdgeTable,
             dropped[tag] = int((~keep).sum())
         grid = from_cells(template.shape, rows[keep], cols[keep], table.trust[group][keep],
                           f"{tag} edges")
-        matrices[tag] = replace(template, values=_normalize_rows(grid, tag, template.row_ids))
+        matrices[tag] = replace(template, values=_normalize_rows(grid, grid, tag, template.row_ids))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)
     return matrices, report

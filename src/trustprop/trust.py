@@ -22,18 +22,18 @@ from .model import (
 )
 
 
-def _normalize_rows(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
-    """Each row divided by its sum; raises InputError on a row whose sum
-    overflows, which would otherwise divide to a row of zeros."""
+def _normalize_rows(weights: np.ndarray, out: np.ndarray, tag: str,
+                    row_ids: tuple[str, ...]) -> np.ndarray:
+    """Each row of ``weights`` divided by its sum, into ``out``: zero-filled, or ``weights``
+    itself. The sums run in the order of ``weights``' own layout, strided or not. Raises
+    InputError on a row whose sum overflows, which would otherwise divide to a row of zeros."""
     with np.errstate(over="ignore"):
         sums = weights.sum(axis=1, keepdims=True)
     overflowed = np.flatnonzero(~np.isfinite(sums))
     if overflowed.size:
         raise InputError(f"{tag} trust: the weights of {row_ids[overflowed[0]]} sum past "
                          "the float range")
-    out = np.zeros_like(weights, dtype=float)
-    np.divide(weights, sums, out=out, where=sums > 0)
-    return out
+    return np.divide(weights, sums, out=out, where=sums > 0)
 
 
 def derive_trust(block: AdjacencyBlock) -> TrustMatrix:
@@ -46,7 +46,7 @@ def derive_trust(block: AdjacencyBlock) -> TrustMatrix:
         cols=block.cols,
         row_ids=block.row_ids,
         col_ids=block.col_ids,
-        values=_normalize_rows(block.weights, block.tag, block.row_ids),
+        values=_normalize_rows(block.weights, np.zeros(block.shape), block.tag, block.row_ids),
     )
 
 
@@ -65,7 +65,9 @@ def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
         cols=block.rows,
         row_ids=block.col_ids,
         col_ids=block.row_ids,
-        values=_normalize_rows(block.weights.T, block.cols.tag + block.rows.tag, block.col_ids),
+        # summed over the strided view, written into the C-order array the matrix keeps
+        values=_normalize_rows(block.weights.T, np.zeros(block.shape[::-1]),
+                               block.cols.tag + block.rows.tag, block.col_ids),
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from trustprop import (
     GeneratorMethod,
     LayerId,
     ResidualConfig,
+    TrustMatrix,
     build_network,
     derive_network_trust,
     export_edge_table,
@@ -360,6 +362,20 @@ def test_carried_cells_against_other_ids_resolve_by_name(demo_trust):
             rebuild_trust(candidate, short)
 
 
+def test_carried_diagonal_is_found_by_name_not_by_index():
+    """An intra matrix whose columns run in the opposite order to its rows: its
+    diagonal-by-name cells are (0,2), (1,1) and (2,0), and both tables drop all three."""
+    ids = ("H1", "H2", "H3")
+    m = TrustMatrix(rows=LayerId.HOSPITAL, cols=LayerId.HOSPITAL, row_ids=ids,
+                    col_ids=ids[::-1], values=np.full((3, 3), 1 / 3))
+    table = export_edge_table([m])
+    assert table._support is not None
+    carried, plain = rebuild_trust(table, {"h": m}), rebuild_trust(plain_copy(table), {"h": m})
+    assert carried[1] == plain[1]
+    assert carried[1].dropped_diagonal == 3
+    assert carried[0]["h"].values.tobytes() == plain[0]["h"].values.tobytes()
+
+
 def test_matrices_sharing_a_tag_export_without_cells(demo_trust):
     h = demo_trust.intra[LayerId.HOSPITAL]
     table = export_edge_table([h, h])
@@ -410,5 +426,22 @@ def test_each_trust_matrix_is_scanned_once(monkeypatch, demo_store, sparse):
         for cached, fresh in zip(m.cells, scan(m.values)):
             assert not cached.flags.writeable
             assert np.array_equal(cached, fresh), m.tag
-        assert all(a is b for a, b in zip(table._support.cells[m.tag], m.cells[:2]))
+        assert table._support.matrices[m.tag] is m
     assert len(scanned) == len(matrices)
+
+
+def test_rebuild_keeps_one_array_per_matrix():
+    """Each rebuilt matrix keeps the grid its cells were scattered into, normalised
+    in place: what a rebuild frees again stays under half the largest matrix."""
+    trusts = derive_network_trust(build_network(sparse_store(1200)))
+    matrices = trusts.all_matrices()
+    assert all(m.nonzero_count < m.values.size / 8 for m in matrices)
+    table = export_edge_table(matrices)
+    tracemalloc.start()
+    try:
+        rebuilt, _ = rebuild_trust(table, trusts.by_tag())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(m.values.nbytes for m in rebuilt.values())
+    assert peak - held <= largest / 2

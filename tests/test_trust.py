@@ -55,6 +55,19 @@ def test_reverse_trust_is_normalized_transpose():
     assert reverse.col_ids == block.row_ids
 
 
+def test_reverse_trust_sums_over_the_transposed_view():
+    """Bit for bit the normalisation of the strided ``weights.T``: a row sum over a
+    C-order copy of the transpose runs in another order and differs in the last bit."""
+    rng = np.random.default_rng(29)
+    for n, m in [(300, 50), (400, 60), (512, 37)]:
+        weights = rng.random((n, m)) * (rng.random((n, m)) < 0.5)
+        weights[:, 0] = 0.0  # a department with no members keeps an all-zero row
+        reverse = derive_reverse_trust(block_from(weights))
+        sums = weights.T.sum(axis=1, keepdims=True)
+        expected = np.divide(weights.T, sums, out=np.zeros(weights.T.shape), where=sums > 0)
+        assert reverse.values.tobytes() == expected.tobytes()
+
+
 def test_reverse_trust_rejects_intra_blocks():
     block = block_from(np.zeros((2, 2)), rows=LayerId.DOCTOR, cols=LayerId.DOCTOR)
     with pytest.raises(InputError,
