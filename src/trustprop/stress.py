@@ -5,7 +5,9 @@ generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
 is pivoted back into matrices, renormalized in place, and scored again. An exported
 table carries the matrices its records came from, whose cells locate each record,
-so each seed only redraws the values and scatters them back. Comparing the
+so each seed only redraws the values and scatters them back. A Dirichlet seed
+draws the gammas of all its rows in one call and scales each row by its sum's
+reciprocal, bit for bit what ``rng.dirichlet`` gives row by row. Comparing the
 rescored network against the original quantifies how much the scoring pipeline
 leans on the exact trust values. ``write_edge_table`` and ``read_edge_table``
 keep the edge table's CSV format here, on :mod:`bundle`'s one CSV codec.
@@ -40,12 +42,13 @@ class _Support:
 
     Per tag: the source matrix, whose ids and read-only ``cells`` locate the tag's
     records, and those records, which are contiguous (empty matrices have none).
-    ``runs`` are the slices of records that share a (tag, src) row, in table order.
+    Records that share a (tag, src) row are contiguous too: row ``i`` runs from
+    ``bounds[i]`` to ``bounds[i + 1]``, and the last bound is the table's length.
     """
 
     matrices: dict[str, TrustMatrix]
     slices: dict[str, slice]
-    runs: list[slice]
+    bounds: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,25 +142,32 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     run of records.
     """
     matrices = list(matrices)
-    tags, srcs, dsts, values = [], [], [], []
-    for matrix in matrices:
-        row, col, cells = matrix.cells
-        tags.append(np.full(len(row), matrix.tag, dtype=object))
-        srcs.append(np.asarray(matrix.row_ids, dtype=object)[row])
-        dsts.append(np.asarray(matrix.col_ids, dtype=object)[col])
-        values.append(cells)
-    tag, src, dst, trust = (np.concatenate(c) if c else [] for c in (tags, srcs, dsts, values))
-    if not matrices or len({m.tag for m in matrices}) < len(matrices) or any(
+    if not matrices:
+        return EdgeTable([], [], [], [])
+    row, col, trust = (np.concatenate(c) for c in zip(*(m.cells for m in matrices)))
+    counts = [len(m.cells[2]) for m in matrices]
+    which = np.repeat(np.arange(len(matrices)), counts)
+    tag = np.array([m.tag for m in matrices], dtype=object)[which]
+    row_ids, src_at = _joined([m.row_ids for m in matrices], which, row)
+    col_ids, dst_at = _joined([m.col_ids for m in matrices], which, col)
+    src, dst = row_ids[src_at], col_ids[dst_at]
+    if len({m.tag for m in matrices}) < len(matrices) or any(
             len(set(ids)) < len(ids) for m in matrices for ids in (m.row_ids, m.col_ids)):
         return EdgeTable(tag, src, dst, trust)
-    bounds = np.cumsum([0] + [len(cells) for cells in values]).tolist()
-    slices = {m.tag: slice(a, b) for m, a, b in zip(matrices, bounds, bounds[1:]) if b > a}
-    # a run starts wherever the row index changes, which includes each tag's first record
-    starts = np.flatnonzero(np.concatenate(
-        [np.diff(m.cells[0], prepend=-1) != 0 for m in matrices])).tolist()
+    ends = np.cumsum([0] + counts).tolist()
+    slices = {m.tag: slice(a, b) for m, a, b in zip(matrices, ends, ends[1:]) if b > a}
+    # rows of all matrices are numbered in table order, so a row starts where the number changes
+    bounds = np.append(np.flatnonzero(np.diff(src_at, prepend=-1)), len(trust))
     return EdgeTable(tag, src, dst, trust, _support=_Support(
-        matrices={m.tag: m for m in matrices}, slices=slices,
-        runs=[slice(a, b) for a, b in zip(starts, starts[1:] + [len(trust)])]))
+        matrices={m.tag: m for m in matrices}, slices=slices, bounds=bounds))
+
+
+def _joined(ids: list[Sequence[str]], which: np.ndarray,
+            index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id lists as one object array, and the place in it of id ``index[k]``
+    of list ``which[k]`` for each record ``k``."""
+    offsets = np.cumsum([0] + [len(names) for names in ids])[which]
+    return np.array([name for names in ids for name in names], dtype=object), index + offsets
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
@@ -199,16 +209,50 @@ def generate_synthetic(table: EdgeTable, config: GeneratorConfig) -> EdgeTable:
 
     rng = np.random.default_rng(config.seed)
     trust = np.empty_like(table.trust)
-    support = table._support
     if config.method is GeneratorMethod.DIRICHLET:
-        groups = support.runs if support else _groups(list(zip(table.tag, table.src))).values()
-        for group in groups:
-            trust[group] = rng.dirichlet(config.concentration * table.trust[group])
+        order, bounds = _rows(table)
+        trust[order] = _dirichlet_rows(rng, config.concentration * table.trust[order], bounds)
     else:
         for group in _tag_groups(table).values():
             values = table.trust[group]
             trust[group] = rng.choice(values, size=len(values), replace=True)
-    return EdgeTable(table.tag, table.src, table.dst, trust, _support=support)
+    return EdgeTable(table.tag, table.src, table.dst, trust, _support=table._support)
+
+
+def _rows(table: EdgeTable) -> tuple[np.ndarray | slice, np.ndarray]:
+    """The table's records ordered by (tag, src) row, rows in first-appearance order,
+    and the bounds of each row in that order."""
+    if table._support:
+        return slice(None), table._support.bounds
+    rows = list(_groups(list(zip(table.tag, table.src))).values())
+    order = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+    return order, np.cumsum([0] + [len(indices) for indices in rows])
+
+
+def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray,
+                    bounds: np.ndarray) -> np.ndarray:
+    """Draw each row ``alpha[bounds[i]:bounds[i + 1]]`` in turn as ``rng.dirichlet``
+    draws it, bit for bit, with one gamma call per stretch of rows.
+
+    numpy's Dirichlet draws a standard gamma for each alpha in order, adds them up
+    in that order and multiplies each by the sum's reciprocal; ``np.bincount``
+    adds in the same order. A row whose largest alpha is below 0.1 numpy draws by
+    stick-breaking instead, so that row goes to ``rng.dirichlet`` in its place.
+    """
+    lengths = np.diff(bounds)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    small = (np.maximum.reduceat(alpha, bounds[:-1]) < 0.1 if len(alpha)
+             else np.zeros(0, dtype=bool))
+    drawn = np.empty_like(alpha)
+    done = 0
+    for start, end in zip(bounds[:-1][small].tolist(), bounds[1:][small].tolist()):
+        drawn[done:start] = rng.standard_gamma(alpha[done:start])
+        drawn[start:end] = rng.dirichlet(alpha[start:end])
+        done = end
+    drawn[done:] = rng.standard_gamma(alpha[done:])
+    scale = np.divide(1.0, np.bincount(run, weights=drawn), out=np.ones(len(lengths)),
+                      where=~small)
+    return drawn * scale[run]
 
 
 @dataclass(frozen=True)
@@ -243,8 +287,6 @@ def rebuild_trust(table: EdgeTable,
         source = support.matrices.get(tag) if support else None
         if source and (source.row_ids, source.col_ids) == (template.row_ids, template.col_ids):
             rows, cols = source.cells[:2]
-            # src equals dst by name where the column is the row id's place among the col ids
-            same = cols == _positions(source.col_ids, source.row_ids)[rows]
         else:
             src, dst = table.src[group], table.dst[group]
             rows, cols = _positions(template.row_ids, src), _positions(template.col_ids, dst)
@@ -252,12 +294,14 @@ def rebuild_trust(table: EdgeTable,
             if outside.size:
                 k = outside[0]
                 raise InputError(f"{tag}: record ({src[k]},{dst[k]}) falls outside the matrix ids")
-            same = src == dst
-        keep = ~(same & template.is_intra)
-        if not keep.all():
-            dropped[tag] = int((~keep).sum())
-        grid = from_cells(template.shape, rows[keep], cols[keep], table.trust[group][keep],
-                          f"{tag} edges")
+        values = table.trust[group]
+        if template.is_intra:
+            # src equals dst by name where the column is the row id's place among the col ids
+            keep = cols != _positions(template.col_ids, template.row_ids)[rows]
+            if not keep.all():
+                dropped[tag] = int((~keep).sum())
+                rows, cols, values = rows[keep], cols[keep], values[keep]
+        grid = from_cells(template.shape, rows, cols, values, f"{tag} edges")
         matrices[tag] = replace(template, values=_normalize_rows(grid, grid, tag, template.row_ids))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)

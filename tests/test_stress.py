@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop import (
     ConvergenceConfig,
@@ -184,6 +186,99 @@ def test_generators_match_per_row_loop(demo_trust):
                                  else rng.choice(values, size=len(indices), replace=True))
         config = GeneratorConfig(method=method, concentration=50.0, seed=4)
         assert np.array_equal(generate_synthetic(table, config).trust, expected), method
+
+
+def per_row_dirichlet(table: EdgeTable, concentration: float, seed: int) -> np.ndarray:
+    """The oracle: one ``rng.dirichlet`` call per (tag, src) row, rows in first-appearance order."""
+    rows: dict = {}
+    for i, key in enumerate(zip(table.tag.tolist(), table.src.tolist())):
+        rows.setdefault(key, []).append(i)
+    rng = np.random.default_rng(seed)
+    expected = np.empty(len(table))
+    for indices in rows.values():
+        expected[indices] = rng.dirichlet(concentration * table.trust[indices])
+    return expected
+
+
+def assert_dirichlet_per_row(table: EdgeTable, concentration: float, seed: int = 4):
+    config = GeneratorConfig(method=GeneratorMethod.DIRICHLET, concentration=concentration,
+                             seed=seed)
+    drawn = generate_synthetic(table, config).trust
+    assert drawn.tobytes() == per_row_dirichlet(table, concentration, seed).tobytes()
+
+
+def largest_alpha_per_row(table: EdgeTable, concentration: float) -> np.ndarray:
+    rows: dict = {}
+    for key, value in zip(zip(table.tag.tolist(), table.src.tolist()), table.trust.tolist()):
+        rows[key] = max(rows.get(key, 0.0), concentration * value)
+    return np.array(list(rows.values()))
+
+
+def hd_matrix(rows: list[list[float]]) -> TrustMatrix:
+    """Hospital x department trust whose row i holds ``rows[i]`` in its first columns."""
+    width = max(map(len, rows))
+    values = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        values[i, :len(row)] = row
+    return TrustMatrix(rows=LayerId.HOSPITAL, cols=LayerId.DEPARTMENT,
+                       row_ids=tuple(f"H{i}" for i in range(len(rows))),
+                       col_ids=tuple(f"D{j}" for j in range(width)), values=values)
+
+
+def shuffled(table: EdgeTable, seed: int) -> EdgeTable:
+    order = np.random.default_rng(seed).permutation(len(table))
+    return EdgeTable(*(getattr(table, c)[order] for c in ("tag", "src", "dst", "trust")))
+
+
+def test_carried_table_draws_as_per_row_dirichlet(demo_trust):
+    table = export_edge_table(demo_trust.all_matrices())
+    assert table._support is not None
+    for concentration in (50.0, 1000.0, 1e6):
+        assert_dirichlet_per_row(table, concentration)
+
+
+@pytest.mark.parametrize("concentration", [0.12, 0.2, 0.25])
+def test_rows_on_both_of_numpys_dirichlet_algorithms_draw_as_per_row(demo_trust,
+                                                                     concentration):
+    """numpy draws a row whose largest alpha is below 0.1 by stick-breaking, and any
+    other row by normalised gammas; a table with rows of both kinds draws in order."""
+    table = export_edge_table(demo_trust.all_matrices())
+    largest = largest_alpha_per_row(table, concentration)
+    assert (largest < 0.1).any() and (largest >= 0.1).any()
+    for candidate in (table, plain_copy(table), shuffled(table, 0)):
+        assert_dirichlet_per_row(candidate, concentration)
+
+
+def test_largest_alpha_of_exactly_a_tenth_draws_as_per_row():
+    # with concentration 1, row 0's largest alpha is 0.1 (gammas) and row 1's is the
+    # float just below it (stick-breaking); rows 2 and 3 are one record each
+    below = np.nextafter(0.1, 0.0)
+    table = export_edge_table([hd_matrix([[0.1, 0.05, 0.1], [below, 0.02], [0.1], [below]])])
+    assert largest_alpha_per_row(table, 1.0).tolist() == [0.1, below, 0.1, below]
+    for candidate in (table, plain_copy(table), shuffled(table, 1)):
+        assert_dirichlet_per_row(candidate, 1.0)
+
+
+def test_one_record_rows_draw_as_per_row():
+    # a one-record row on the stick-breaking side draws no gamma, so the rows after it
+    # see the generator where per-row calls leave it
+    matrix = hd_matrix([[0.5], [0.02], [0.3, 0.4], [0.05], [1.0], [0.01, 0.02]])
+    table = export_edge_table([matrix])
+    for concentration in (0.5, 1.0, 10.0):
+        for candidate in (table, plain_copy(table)):
+            assert_dirichlet_per_row(candidate, concentration)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6), min_size=1,
+                max_size=12),
+       st.floats(-3.0, 6.0).map(lambda exponent: 10.0 ** exponent),
+       st.integers(0, 2 ** 32 - 1))
+def test_dirichlet_draws_as_per_row_dirichlet(rows, concentration, seed):
+    table = export_edge_table([hd_matrix(rows)])
+    assert table._support is not None
+    for candidate in (table, shuffled(table, seed)):
+        assert_dirichlet_per_row(candidate, concentration, seed)
 
 
 def test_rebuild_round_trip_identity(demo_trust):
