@@ -246,7 +246,8 @@ def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray,
     drawn = np.empty_like(alpha)
     done = 0
     for start, end in zip(bounds[:-1][small].tolist(), bounds[1:][small].tolist()):
-        drawn[done:start] = rng.standard_gamma(alpha[done:start])
+        if done < start:  # an empty call costs about what a short row's dirichlet call does
+            drawn[done:start] = rng.standard_gamma(alpha[done:start])
         drawn[start:end] = rng.dirichlet(alpha[start:end])
         done = end
     drawn[done:] = rng.standard_gamma(alpha[done:])
