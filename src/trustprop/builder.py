@@ -4,7 +4,9 @@ Intra-layer similarity is attribute overlap: hospitals share departments,
 departments share doctors, doctors share hospitals. With ``B`` a layer's 0/1
 node x attribute incidence, over every attribute value the layer lists (values
 that name no entity still count), the block is ``B Bᵀ`` with the diagonal
-zeroed; Jaccard is ``shared / (deg_i + deg_j - shared)``. A belongs-to block
+zeroed; Jaccard is ``shared / (deg_i + deg_j - shared)``. The block is counted
+from shared memberships, one pair per attribute two nodes hold, so its cost
+grows with those pairs, not with ``n² x attributes``. A belongs-to block
 holds one cell per declared membership, built from those cells alone. A
 hospital x department cell is declared by either record; its weight is the
 number of doctors who list both, or 1 when there is none. A department x
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -40,14 +42,21 @@ class SimilarityMode(Enum):
     JACCARD = "jaccard"
 
 
-def _incidence(attr_sets: Sequence[Iterable[str]], columns: Sequence[str]) -> np.ndarray:
-    """0/1 matrix, [i, j] = 1 where attr_sets[i] holds columns[j]; other values are ignored."""
-    index = {c: j for j, c in enumerate(columns)}
-    # one assignment for all cells: a numpy call per row dominates the cost at 1 000 rows
-    cells = [(i, index[a]) for i, attrs in enumerate(attr_sets) for a in attrs if a in index]
-    out = np.zeros((len(attr_sets), len(index)))
-    out[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = 1.0
-    return out
+def _shared_pairs(attr_sets: list[frozenset[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs ``(i, j)`` with ``i < j``, one for each attribute both nodes hold."""
+    groups: dict[str, list[int]] = {}
+    for i, attrs in enumerate(attr_sets):
+        for a in attrs:
+            groups.setdefault(a, []).append(i)
+    # members of each attribute, nodes ascending, one group after another
+    node = np.fromiter(chain.from_iterable(groups.values()), dtype=np.intp)
+    size = np.fromiter(map(len, groups.values()), dtype=np.intp, count=len(groups))
+    position = np.arange(len(node))
+    later = np.repeat(np.cumsum(size), size) - position - 1  # later members of the group
+    first = np.repeat(node, later)
+    # member k pairs with positions k+1 .. k+later[k], at pair offsets cumsum(later) - later
+    shift = np.repeat(np.cumsum(later) - later - position - 1, later)
+    return first, node[np.arange(len(first)) - shift]
 
 
 #: per layer, the store's table of records and the membership its intra block compares
@@ -77,15 +86,18 @@ def build_intra_layer(store: EntityStore, layer: LayerId,
     if not isinstance(mode, SimilarityMode):
         raise ConfigError(f"unknown similarity mode {mode!r}")
     ids, attrs = layer_attributes(store, layer)
-    incidence = _incidence(attrs, sorted(set().union(*attrs)))
-    weights = incidence @ incidence.T
-    np.fill_diagonal(weights, 0.0)
+    n = len(ids)
+    i, j = _shared_pairs(attrs)
+    upper, lower = i * n + j, j * n + i
+    keys = np.concatenate([upper, lower])
+    # float counts of small integers are exact, so the block equals B Bᵀ bit for bit
+    weights = np.bincount(keys, weights=np.ones(len(keys)), minlength=n * n)
     if mode is SimilarityMode.JACCARD:
-        degree = incidence.sum(axis=1)
-        i, j = np.nonzero(weights)
-        shared = weights[i, j]
-        weights[i, j] = shared / (degree[i] + degree[j] - shared)
-    return AdjacencyBlock(rows=layer, cols=layer, row_ids=ids, col_ids=ids, weights=weights)
+        degree = np.fromiter(map(len, attrs), dtype=float, count=n)
+        shared = weights[upper]
+        weights[upper] = weights[lower] = shared / (degree[i] + degree[j] - shared)
+    return AdjacencyBlock(rows=layer, cols=layer, row_ids=ids, col_ids=ids,
+                          weights=weights.reshape(n, n))
 
 
 def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> AdjacencyBlock:

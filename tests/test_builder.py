@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,67 @@ def test_intra_blocks_match_pairwise_set_formula(mode):
                     assert block.weights[i, j] == want, (layer, ids[i], ids[j])
             if mode is SimilarityMode.JACCARD:
                 assert ((block.weights >= 0.0) & (block.weights <= 1.0)).all()
+
+
+def incidence_block(attrs, mode):
+    """The block by its definition: ``B Bᵀ`` over the 0/1 incidence, diagonal zeroed."""
+    columns = sorted(set().union(*attrs))
+    incidence = np.array([[float(c in held) for c in columns] for held in attrs])
+    incidence = incidence.reshape(len(attrs), len(columns))
+    weights = incidence @ incidence.T
+    np.fill_diagonal(weights, 0.0)
+    if mode is SimilarityMode.JACCARD:
+        degree = incidence.sum(axis=1)
+        i, j = np.nonzero(weights)
+        shared = weights[i, j]
+        weights[i, j] = shared / (degree[i] + degree[j] - shared)
+    return weights
+
+
+@pytest.mark.parametrize("mode", list(SimilarityMode))
+def test_intra_blocks_equal_the_incidence_product(mode):
+    rng = np.random.default_rng(11)
+    stores = [random_store(rng, n_hospitals=5, n_departments=6, n_doctors=9) for _ in range(10)]
+    stores += [messy_store(rng, *sizes) for sizes in
+               ((4, 4, 6), (0, 3, 5), (3, 0, 5), (3, 4, 0), (0, 0, 0)) for _ in range(3)]
+    p_ids = [f"P{i}" for i in range(7)]
+    # no doctor lists a hospital, and every hospital lists D0
+    stores.append(EntityStore(
+        doctors={p: make_doctor(p, [], ["D0"]) for p in p_ids},
+        hospitals={h: make_hospital(h, ["D0", "D1"][:1 + k % 2])
+                   for k, h in enumerate(("H0", "H1", "H2"))},
+        departments={"D0": make_department("D0", p_ids, []), "D1": make_department("D1", [], [])}))
+    # every doctor lists H0, every department lists every doctor, no hospital lists a department
+    stores.append(EntityStore(
+        doctors={p: make_doctor(p, ["H0", "H1", "H2"][:1 + k % 3], []) for k, p in enumerate(p_ids)},
+        hospitals={h: make_hospital(h, []) for h in ("H0", "H1")},
+        departments={d: make_department(d, p_ids, []) for d in ("D0", "D1", "D2")}))
+    for store in stores:
+        for layer in LayerId:
+            weights = build_intra_layer(store, layer, mode).weights
+            want = incidence_block(layer_attributes(store, layer)[1], mode)
+            assert weights.shape == want.shape
+            assert weights.tobytes() == want.tobytes(), layer
+
+
+@pytest.mark.parametrize("mode", list(SimilarityMode))
+def test_intra_block_needs_no_memory_beyond_the_block(mode):
+    """Building the block holds nothing n x n or n x attributes besides the block itself."""
+    rng = np.random.default_rng(3)
+    h_ids = [f"H{i:04d}" for i in range(3000)]
+    store = EntityStore(
+        doctors={f"P{i:03d}": make_doctor(f"P{i:03d}", rng.choice(h_ids, size=rng.integers(1, 4),
+                                                                   replace=False).tolist(), [])
+                 for i in range(600)},
+        hospitals={h: make_hospital(h, []) for h in h_ids})
+    tracemalloc.start()
+    try:
+        block = build_intra_layer(store, LayerId.DOCTOR, mode)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (600, 600)
+    assert (peak - held) / block.weights.nbytes <= 0.25
 
 
 def test_demo_intra_blocks_exact(demo_store):
