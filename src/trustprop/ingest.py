@@ -7,6 +7,9 @@ that specific pair. Departments use this to pin per-doctor qualification
 weights and per-hospital doctor counts; elements without a suffix fall back to
 the scalar defaults (the doctor's own qualification score, or the count of
 co-affiliated doctors computed from the doctor table).
+
+Each table parses through a map from column to cell parser. A parser raises ValueError
+with the reason, which ``_read_rows`` alone turns into a MalformedRowError.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import InputError, MalformedRowError
@@ -38,7 +42,6 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False,
 @dataclass(frozen=True)
 class DoctorRecord:
     id: str
-    name: str
     hospital_ids: frozenset[str]
     department_ids: frozenset[str]
     qualification_score: float | None
@@ -54,18 +57,14 @@ class DoctorRecord:
 @dataclass(frozen=True)
 class HospitalRecord:
     id: str
-    name: str
     rating: float | None
     stories_count: int
-    accreditation: str | None
-    location_category: str | None
     department_ids: frozenset[str]
 
 
 @dataclass(frozen=True)
 class DepartmentRecord:
     id: str
-    name: str
     doctor_ids: frozenset[str]
     hospital_ids: frozenset[str]
     #: explicit per-doctor belongs-to weights (subset of doctor_ids)
@@ -91,77 +90,96 @@ class EntityStore:
         }
 
 
-# --- cell parsers ---
+# --- cell parsers: each raises ValueError with the reason for a bad cell ---
 
-def _parse_members(cell: str, path: str, line: int, what: str,
-                   weighted: bool = False) -> tuple[frozenset[str], dict[str, float]]:
-    """Ids of a ``;``-separated membership cell and their ``id:weight`` weights, which
-    only a ``weighted`` cell (one of departments.csv) may carry."""
+def _parse_id(cell: str) -> str:
+    ident = cell.strip()
+    if not ident:
+        raise ValueError("must be non-empty")
+    if ";" in ident or ":" in ident:
+        raise ValueError(f"{ident!r} holds ';' or ':', which membership cells reserve")
+    return ident
+
+
+def _parse_members(cell: str, weighted: bool = False):
+    """The ids of a ``;``-separated membership cell. Only a ``weighted`` cell (one of
+    departments.csv) may give ``id:weight`` elements; it parses to ``(ids, weights)``."""
     ids: set[str] = set()
     weights: dict[str, float] = {}
     for part in cell.split(";"):
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            ident, _, raw = part.partition(":")
-            ident = ident.strip()
+        ident, colon, raw = part.partition(":")
+        ident = ident.strip()
+        if colon:
             if not weighted:
-                raise MalformedRowError(path, line, f"{what}: weight given for {ident!r}, but "
-                                        "membership weights are read only from departments.csv")
+                raise ValueError(f"weight given for {ident!r}, but "
+                                 "membership weights are read only from departments.csv")
             try:
                 weight = float(raw)
             except ValueError:
-                raise MalformedRowError(path, line, f"{what}: bad weight {raw!r} for {ident!r}")
+                raise ValueError(f"bad weight {raw!r} for {ident!r}") from None
             if not math.isfinite(weight):
-                raise MalformedRowError(path, line, f"{what}: non-finite weight for {ident!r}")
+                raise ValueError(f"non-finite weight for {ident!r}")
             if weight < 0:
-                raise MalformedRowError(path, line, f"{what}: negative weight for {ident!r}")
+                raise ValueError(f"negative weight for {ident!r}")
             weights[ident] = weight
-        else:
-            ident = part
         if not ident:
-            raise MalformedRowError(path, line, f"{what}: empty id in list")
+            raise ValueError("empty id in list")
         if ident in ids:
-            raise MalformedRowError(path, line, f"{what}: duplicate id {ident!r}")
+            raise ValueError(f"duplicate id {ident!r}")
         ids.add(ident)
-    return frozenset(ids), weights
+    return (frozenset(ids), weights) if weighted else frozenset(ids)
 
 
-def _parse_float(cell: str, path: str, line: int, what: str,
-                 lo: float | None = None, hi: float | None = None) -> float | None:
+def _parse_float(cell: str, hi: float | None = None) -> float | None:
+    """A non-negative number, at most ``hi`` when given; None for an empty cell."""
     cell = cell.strip()
     if not cell:
         return None
     try:
         value = float(cell)
     except ValueError:
-        raise MalformedRowError(path, line, f"{what}: not a number: {cell!r}")
+        raise ValueError(f"not a number: {cell!r}") from None
     if not math.isfinite(value):
-        raise MalformedRowError(path, line, f"{what}: {cell!r} is not a finite number")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        raise MalformedRowError(path, line, f"{what}: {value} outside [{lo}, {hi}]")
+        raise ValueError(f"{cell!r} is not a finite number")
+    if value < 0.0 or hi is not None and value > hi:
+        raise ValueError(f"{value} below 0.0" if hi is None else f"{value} outside [0.0, {hi}]")
     return value
 
 
-def _parse_count(cell: str, path: str, line: int, what: str) -> int:
+def _parse_count(cell: str) -> int:
     cell = cell.strip()
     if not cell:
         return 0
     try:
         value = int(cell)
     except ValueError:
-        raise MalformedRowError(path, line, f"{what}: not an integer: {cell!r}")
+        raise ValueError(f"not an integer: {cell!r}") from None
     if value < 0:
-        raise MalformedRowError(path, line, f"{what}: negative count")
+        raise ValueError("negative count")
     return value
 
 
-def _parse_bool(cell: str, path: str, line: int, what: str) -> bool:
+def _parse_bool(cell: str) -> bool:
     word = cell.strip().lower()
     if word not in _BOOL_WORDS:
-        raise MalformedRowError(path, line, f"{what}: expected true/false, got {cell!r}")
+        raise ValueError(f"expected true/false, got {cell!r}")
     return _BOOL_WORDS[word]
+
+
+# each table's parsed columns, in the field order of its record
+_DOCTOR_PARSERS = {
+    "id": _parse_id, "hospital_ids": _parse_members, "department_ids": _parse_members,
+    "qualification_score": _parse_float, "overall_experience_years": _parse_float,
+    "specialist_experience_years": _parse_float, "like_pct": partial(_parse_float, hi=100.0),
+    "vote_count": _parse_count, "review_count": _parse_count, "verified": _parse_bool,
+    "claimed": _parse_bool}
+_HOSPITAL_PARSERS = {"id": _parse_id, "rating": partial(_parse_float, hi=RATING_SCALE),
+                     "stories_count": _parse_count, "department_ids": _parse_members}
+_DEPARTMENT_PARSERS = {"id": _parse_id, "doctor_ids": partial(_parse_members, weighted=True),
+                       "hospital_ids": partial(_parse_members, weighted=True)}
 
 
 def read_table(path) -> bytes:
@@ -182,41 +200,41 @@ def inputs_sha256(tables: list[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _read_rows(path: str, data: bytes, columns: tuple[str, ...]):
-    """Yield ``(line, id, cells)`` for each data row of the table ``path``
-    holding ``data``; ids must be non-empty, unique in the file, and free of
-    the ``;`` and ``:`` that membership cells use as separators."""
+def _read_rows(path: str, data: bytes, columns: tuple[str, ...], parsers: dict):
+    """Yield ``(line, values)`` for each data row of the table ``path`` holding ``data``:
+    its cells parsed through ``parsers``, in their order. The header must name each of
+    ``columns`` once, and the rows' ids must be unique."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise InputError(f"{path}: file is empty, expected header {','.join(columns)}")
         header = [h.strip() for h in header]
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        index = {c: header.index(c) for c in columns}
+        for fault, faulty in (("missing", [c for c in columns if c not in header]),
+                              ("repeated", [c for c in columns if header.count(c) > 1])):
+            if faulty:
+                raise InputError(f"{path}: {fault} column(s) {', '.join(faulty)}")
+        cells = [(column, header.index(column), parse) for column, parse in parsers.items()]
         seen: set[str] = set()
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
                 raise MalformedRowError(path, line, f"expected {len(header)} fields, got {len(row)}")
-            ident = row[index["id"]].strip()
-            if not ident:
-                raise MalformedRowError(path, line, "id: must be non-empty")
-            if ";" in ident or ":" in ident:
-                raise MalformedRowError(path, line,
-                                        f"id: {ident!r} holds ';' or ':', which membership cells reserve")
-            if ident in seen:
-                raise MalformedRowError(path, line, f"id: duplicate id {ident!r}")
-            seen.add(ident)
-            yield line, ident, {c: row[index[c]] for c in columns}
+            values = []
+            for column, index, parse in cells:
+                try:
+                    values.append(parse(row[index]))
+                except ValueError as exc:
+                    raise MalformedRowError(path, line, f"{column}: {exc}") from None
+            if values[0] in seen:
+                raise MalformedRowError(path, line, f"id: duplicate id {values[0]!r}")
+            seen.add(values[0])
+            yield line, values
 
 
 def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
@@ -230,58 +248,18 @@ def parse_store(doctors_path, hospitals_path, departments_path) -> EntityStore:
     store = EntityStore()
     dpath, hpath, ppath = (str(Path(p)) for p in (doctors_path, hospitals_path, departments_path))
     tables = [read_table(p) for p in (dpath, hpath, ppath)]
-    for line, ident, cells in _read_rows(dpath, tables[0], DOCTOR_COLUMNS):
-        hospital_ids, _ = _parse_members(cells["hospital_ids"], dpath, line, "hospital_ids")
-        department_ids, _ = _parse_members(cells["department_ids"], dpath, line, "department_ids")
-        overall = _parse_float(cells["overall_experience_years"], dpath, line,
-                               "overall_experience_years", lo=0.0)
-        specialist = _parse_float(cells["specialist_experience_years"], dpath, line,
-                                  "specialist_experience_years", lo=0.0)
+    for line, values in _read_rows(dpath, tables[0], DOCTOR_COLUMNS, _DOCTOR_PARSERS):
+        doc = DoctorRecord(*values)
+        overall, specialist = doc.overall_experience_years, doc.specialist_experience_years
         if overall is not None and specialist is not None and specialist > overall:
             raise MalformedRowError(dpath, line,
                                     "specialist_experience_years exceeds overall_experience_years")
-        store.doctors[ident] = DoctorRecord(
-            id=ident,
-            name=cells["name"].strip(),
-            hospital_ids=hospital_ids,
-            department_ids=department_ids,
-            qualification_score=_parse_float(cells["qualification_score"], dpath, line,
-                                             "qualification_score", lo=0.0),
-            overall_experience_years=overall,
-            specialist_experience_years=specialist,
-            like_pct=_parse_float(cells["like_pct"], dpath, line, "like_pct", lo=0.0, hi=100.0),
-            vote_count=_parse_count(cells["vote_count"], dpath, line, "vote_count"),
-            review_count=_parse_count(cells["review_count"], dpath, line, "review_count"),
-            verified=_parse_bool(cells["verified"], dpath, line, "verified"),
-            claimed=_parse_bool(cells["claimed"], dpath, line, "claimed"),
-        )
-
-    for line, ident, cells in _read_rows(hpath, tables[1], HOSPITAL_COLUMNS):
-        department_ids, _ = _parse_members(cells["department_ids"], hpath, line, "department_ids")
-        store.hospitals[ident] = HospitalRecord(
-            id=ident,
-            name=cells["name"].strip(),
-            rating=_parse_float(cells["rating"], hpath, line, "rating", lo=0.0, hi=RATING_SCALE),
-            stories_count=_parse_count(cells["stories_count"], hpath, line, "stories_count"),
-            accreditation=cells["accreditation"].strip() or None,
-            location_category=cells["location_category"].strip().lower() or None,
-            department_ids=department_ids,
-        )
-
-    for line, ident, cells in _read_rows(ppath, tables[2], DEPARTMENT_COLUMNS):
-        doctor_ids, doctor_weights = _parse_members(cells["doctor_ids"], ppath, line, "doctor_ids",
-                                                    weighted=True)
-        hospital_ids, hospital_weights = _parse_members(cells["hospital_ids"], ppath, line,
-                                                        "hospital_ids", weighted=True)
-        store.departments[ident] = DepartmentRecord(
-            id=ident,
-            name=cells["name"].strip(),
-            doctor_ids=doctor_ids,
-            hospital_ids=hospital_ids,
-            doctor_weights=doctor_weights,
-            hospital_weights=hospital_weights,
-        )
-
+        store.doctors[doc.id] = doc
+    for _, values in _read_rows(hpath, tables[1], HOSPITAL_COLUMNS, _HOSPITAL_PARSERS):
+        store.hospitals[values[0]] = HospitalRecord(*values)
+    for _, (ident, (ps, p_weights), (hs, h_weights)) in _read_rows(
+            ppath, tables[2], DEPARTMENT_COLUMNS, _DEPARTMENT_PARSERS):
+        store.departments[ident] = DepartmentRecord(ident, ps, hs, p_weights, h_weights)
     store.provenance = {"raw": store.counts(), "inputs_sha256": inputs_sha256(tables)}
     return store
 
@@ -326,21 +304,18 @@ def clean(store: EntityStore) -> EntityStore:
     for p in sorted(doctors):
         doc = store.doctors[p]
         out.doctors[p] = DoctorRecord(
-            doc.id, doc.name, doc.hospital_ids & hospitals, frozenset(member_of[p] & departments),
-            doc.qualification_score, doc.overall_experience_years,
-            doc.specialist_experience_years, doc.like_pct, doc.vote_count, doc.review_count,
-            doc.verified, doc.claimed)
+            doc.id, doc.hospital_ids & hospitals, frozenset(member_of[p] & departments),
+            doc.qualification_score, doc.overall_experience_years, doc.specialist_experience_years,
+            doc.like_pct, doc.vote_count, doc.review_count, doc.verified, doc.claimed)
     for h in sorted(hospitals):
         rec = store.hospitals[h]
-        out.hospitals[h] = HospitalRecord(
-            rec.id, rec.name, rec.rating, rec.stories_count, rec.accreditation,
-            rec.location_category, rec.department_ids & departments)
+        out.hospitals[h] = HospitalRecord(rec.id, rec.rating, rec.stories_count,
+                                          rec.department_ids & departments)
     for d in sorted(departments):
         dept = store.departments[d]
         ps, hs = frozenset(members[d] & doctors), dept.hospital_ids & hospitals
         out.departments[d] = DepartmentRecord(
-            dept.id, dept.name, ps, hs,
-            {p: w for p, w in dept.doctor_weights.items() if p in ps},
+            dept.id, ps, hs, {p: w for p, w in dept.doctor_weights.items() if p in ps},
             {h: w for h, w in dept.hospital_weights.items() if h in hs})
     out.provenance["filtered"] = out.counts()
     return out

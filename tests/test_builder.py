@@ -12,7 +12,7 @@ from trustprop.ingest import DepartmentRecord, DoctorRecord, EntityStore, Hospit
 
 
 def make_doctor(ident, hospitals, departments, score=5.0):
-    return DoctorRecord(id=ident, name=ident, hospital_ids=frozenset(hospitals),
+    return DoctorRecord(id=ident, hospital_ids=frozenset(hospitals),
                         department_ids=frozenset(departments), qualification_score=score,
                         overall_experience_years=10.0, specialist_experience_years=5.0,
                         like_pct=80.0, vote_count=10, review_count=5,
@@ -20,13 +20,12 @@ def make_doctor(ident, hospitals, departments, score=5.0):
 
 
 def make_hospital(ident, departments):
-    return HospitalRecord(id=ident, name=ident, rating=4.0, stories_count=3,
-                          accreditation=None, location_category=None,
+    return HospitalRecord(id=ident, rating=4.0, stories_count=3,
                           department_ids=frozenset(departments))
 
 
 def make_department(ident, doctors, hospitals, doctor_weights=None, hospital_weights=None):
-    return DepartmentRecord(id=ident, name=ident, doctor_ids=frozenset(doctors),
+    return DepartmentRecord(id=ident, doctor_ids=frozenset(doctors),
                             hospital_ids=frozenset(hospitals),
                             doctor_weights=doctor_weights or {},
                             hospital_weights=hospital_weights or {})

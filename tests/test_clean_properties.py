@@ -41,7 +41,7 @@ def dirty_stores(draw):
     affiliation = {p: _some(draw, IDS["D"]) for p in _table(draw, "P")}
     doctors = {
         p: DoctorRecord(
-            id=p, name=p, hospital_ids=_some(draw, IDS["H"]),
+            id=p, hospital_ids=_some(draw, IDS["H"]),
             department_ids=ds if draw(mostly) else frozenset(),
             qualification_score=draw(st.sampled_from([None, 3.0, 8.0, 8.0, 8.0])),
             overall_experience_years=draw(st.sampled_from([None, 12.0, 12.0, 12.0, 12.0])),
@@ -50,8 +50,7 @@ def dirty_stores(draw):
         for p, ds in affiliation.items()
     }
     hospitals = {
-        h: HospitalRecord(id=h, name=h, rating=draw(st.sampled_from([None, 4.0, 4.0])),
-                          stories_count=0, accreditation=None, location_category=None,
+        h: HospitalRecord(id=h, rating=draw(st.sampled_from([None, 4.0, 4.0])), stories_count=0,
                           department_ids=_some(draw, IDS["D"]))
         for h in _table(draw, "H")
     }
@@ -61,7 +60,7 @@ def dirty_stores(draw):
         doctor_ids = listed | _some(draw, IDS["P"], 3)
         hospital_ids = _some(draw, IDS["H"])
         departments[d] = DepartmentRecord(
-            id=d, name=d, doctor_ids=doctor_ids, hospital_ids=hospital_ids,
+            id=d, doctor_ids=doctor_ids, hospital_ids=hospital_ids,
             doctor_weights={p: draw(weights) for p in sorted(_some(draw, sorted(doctor_ids)))},
             hospital_weights={h: draw(weights) for h in sorted(_some(draw, sorted(hospital_ids)))})
     return EntityStore(doctors=doctors, hospitals=hospitals, departments=departments)

@@ -168,6 +168,18 @@ def test_malformed_input_row_exits_two(tmp_path, out):
     assert main(["build", "--config", str(config_path), "--out", str(out)]) == 2
 
 
+def test_input_table_that_repeats_a_column_exits_two(tmp_path, out, caplog):
+    for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    lines = (tmp_path / "hospitals.csv").read_text().splitlines()
+    (tmp_path / "hospitals.csv").write_text(
+        "".join(f"{line},{'rating' if i == 0 else '0.5'}\n" for i, line in enumerate(lines)))
+    with caplog.at_level("ERROR", logger="trustprop"):
+        assert main(["build", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert "repeated column(s) rating" in caplog.text
+    assert not (out / "network.json").exists()
+
+
 def test_input_table_that_is_not_utf8_exits_two(tmp_path, out):
     for name in ("doctors.csv", "hospitals.csv", "departments.csv", "config.json"):
         shutil.copy(DEMO / name, tmp_path / name)

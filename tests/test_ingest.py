@@ -5,9 +5,12 @@ import math
 
 import pytest
 
-from trustprop import clean, parse_store
+from trustprop import clean, ingest, parse_store
 from trustprop.errors import InputError, MalformedRowError
 from trustprop.ingest import (
+    DEPARTMENT_COLUMNS,
+    DOCTOR_COLUMNS,
+    HOSPITAL_COLUMNS,
     baseline_columns,
     derive_department_rating,
     ground_truth_ratings,
@@ -88,6 +91,99 @@ def test_missing_column_rejected(tmp_path):
     paths["hospitals"].write_text("id,name\nH1,Hosp One\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"missing column\(s\) "):
         parse(paths)
+
+
+@pytest.mark.parametrize("table, column", [
+    (table, column) for table, columns in [("doctors", DOCTOR_COLUMNS),
+                                           ("hospitals", HOSPITAL_COLUMNS),
+                                           ("departments", DEPARTMENT_COLUMNS)]
+    for column in columns])
+def test_every_documented_column_is_required(tmp_path, table, column):
+    # name, accreditation and location_category are never read, but stay required
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
+                         departments=[GOOD_DEPARTMENT])
+    header, row = paths[table].read_text(encoding="utf-8").splitlines()
+    keep = [i for i, name in enumerate(header.split(",")) if name != column]
+    paths[table].write_text("\n".join(",".join(line.split(",")[i] for i in keep)
+                                      for line in (header, row)) + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=rf"{table}\.csv: missing column\(s\) {column}$"):
+        parse(paths)
+
+
+def test_repeated_documented_column_rejected(tmp_path):
+    # a second rating column must not be dropped silently in favour of the first
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
+                         departments=[GOOD_DEPARTMENT])
+    paths["hospitals"].write_text(f"{HOSPITAL_HEADER},rating\n{GOOD_HOSPITAL},0.5\n",
+                                  encoding="utf-8")
+    with pytest.raises(InputError, match=r"hospitals\.csv: repeated column\(s\) rating$"):
+        parse(paths)
+
+
+def test_repeated_undocumented_column_accepted(tmp_path):
+    paths = write_tables(tmp_path, doctors=[GOOD_DOCTOR], hospitals=[GOOD_HOSPITAL],
+                         departments=[GOOD_DEPARTMENT])
+    paths["departments"].write_text(f"{DEPARTMENT_HEADER},note,note\n{GOOD_DEPARTMENT},a,b\n",
+                                    encoding="utf-8")
+    assert parse(paths).counts() == {"doctors": 1, "hospitals": 1, "departments": 1}
+
+
+@pytest.mark.parametrize("record, parsers", [
+    (ingest.DoctorRecord, ingest._DOCTOR_PARSERS),
+    (ingest.HospitalRecord, ingest._HOSPITAL_PARSERS),
+    (ingest.DepartmentRecord, ingest._DEPARTMENT_PARSERS),
+])
+def test_parsed_columns_follow_their_record_fields(record, parsers):
+    # parse_store builds each record from the parsed cells by position
+    fields = [f.name for f in dataclasses.fields(record)]
+    assert list(parsers) == fields[:len(parsers)]
+
+
+def with_cell(header, row, column, value):
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("table, column, value, reason", [
+    ("doctors", "id", "P;2", "'P;2' holds ';' or ':', which membership cells reserve"),
+    ("doctors", "hospital_ids", "H1;H1", "duplicate id 'H1'"),
+    ("doctors", "department_ids", "D1:3",
+     "weight given for 'D1', but membership weights are read only from departments.csv"),
+    ("doctors", "qualification_score", "x", "not a number: 'x'"),
+    ("doctors", "qualification_score", "-1", "-1.0 below 0.0"),
+    ("doctors", "overall_experience_years", "inf", "'inf' is not a finite number"),
+    ("doctors", "overall_experience_years", "-3", "-3.0 below 0.0"),
+    ("doctors", "specialist_experience_years", "-1", "-1.0 below 0.0"),
+    ("doctors", "like_pct", "150", "150.0 outside [0.0, 100.0]"),
+    ("doctors", "like_pct", "-0.5", "-0.5 outside [0.0, 100.0]"),
+    ("doctors", "vote_count", "1.5", "not an integer: '1.5'"),
+    ("doctors", "review_count", "-2", "negative count"),
+    ("doctors", "verified", "maybe", "expected true/false, got 'maybe'"),
+    ("doctors", "claimed", "2", "expected true/false, got '2'"),
+    ("hospitals", "id", "H:2", "'H:2' holds ';' or ':', which membership cells reserve"),
+    ("hospitals", "rating", "nan", "'nan' is not a finite number"),
+    ("hospitals", "rating", "5.5", "5.5 outside [0.0, 5.0]"),
+    ("hospitals", "stories_count", "x", "not an integer: 'x'"),
+    ("hospitals", "department_ids", "D1;D1", "duplicate id 'D1'"),
+    ("departments", "id", " ", "must be non-empty"),
+    ("departments", "doctor_ids", "P1:x", "bad weight 'x' for 'P1'"),
+    ("departments", "hospital_ids", "H1:-1", "negative weight for 'H1'"),
+])
+def test_bad_cell_names_path_line_and_column(tmp_path, table, column, value, reason):
+    # a one-sided bound names only its lower end; a two-sided one names both
+    header, good, other = {
+        "doctors": (DOCTOR_HEADER, GOOD_DOCTOR, "P2"),
+        "hospitals": (HOSPITAL_HEADER, GOOD_HOSPITAL, "H2"),
+        "departments": (DEPARTMENT_HEADER, GOOD_DEPARTMENT, "D2"),
+    }[table]
+    rows = {"doctors": [GOOD_DOCTOR], "hospitals": [GOOD_HOSPITAL],
+            "departments": [GOOD_DEPARTMENT]}
+    rows[table].append(with_cell(header, with_cell(header, good, "id", other), column, value))
+    paths = write_tables(tmp_path, **rows)
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse(paths)
+    assert str(excinfo.value) == f"{paths[table]}:3: {column}: {reason}"
 
 
 def test_malformed_row_reports_path_and_line(tmp_path):
