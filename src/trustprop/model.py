@@ -13,10 +13,12 @@ share one base, ``_LabelledMatrix``, which owns the row and column labels and
 everything read from them. That base is the one storage seam: a sparse backend
 behind the ``weights``/``values`` attributes would slot in there. The moves
 between a matrix and its nonzero cells (``nonzero_cells``, ``from_cells``) and
-the checks on cell values (``cell_violations``) live here and nowhere else. A
-``TrustMatrix`` finds its nonzero count and its cells once, on first use, and
-keeps them read-only (``nonzero_count``, ``cells``): propagation multiplies over
-the cells and the edge table shares them, so a matrix is scanned once per process.
+the checks on cell values (``cell_violations``) live here and nowhere else.
+``from_cells`` finds a repeated cell among its sorted flat keys, so its checks
+grow with the cells, not with the block. A ``TrustMatrix`` finds its nonzero
+count and its cells once, on first use, and keeps them read-only
+(``nonzero_count``, ``cells``): propagation multiplies over the cells and the
+edge table shares them, so a matrix is scanned once per process.
 """
 from __future__ import annotations
 
@@ -91,9 +93,8 @@ def from_cells(shape: tuple[int, int], rows, cols, values, label: str) -> np.nda
     rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
     if values.size and values.dtype.kind not in "iuf":
         raise InputError(f"{label}: a cell value is not a number")
-    seen = np.zeros(shape, dtype=bool)
-    seen[rows, cols] = True
-    if np.count_nonzero(seen) != len(rows):
+    keys = np.sort(rows * shape[1] + cols)
+    if (keys[1:] == keys[:-1]).any():
         raise InputError(f"{label}: a cell is given more than once")
     matrix = np.zeros(shape)
     matrix[rows, cols] = values

@@ -5,7 +5,9 @@ generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
 is pivoted back into matrices, renormalized in place, and scored again. An exported
 table carries the matrices its records came from, whose cells locate each record,
-so each seed only redraws the values and scatters them back. A Dirichlet seed
+so each seed only redraws the values and scatters them back. Such a table builds
+the string columns that name its records (tag, src, dst) only when one is read:
+writing it does, a stress run does not. A Dirichlet seed
 draws the gammas of all its rows in one call and scales each row by its sum's
 reciprocal, bit for bit what ``rng.dirichlet`` gives row by row. Comparing the
 rescored network against the original quantifies how much the scoring pipeline
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,42 +47,67 @@ class _Support:
     records, and those records, which are contiguous (empty matrices have none).
     Records that share a (tag, src) row are contiguous too: row ``i`` runs from
     ``bounds[i]`` to ``bounds[i + 1]``, and the last bound is the table's length.
+    The records' names are built from the cells on first read, once for every
+    table that carries this support.
     """
 
     matrices: dict[str, TrustMatrix]
     slices: dict[str, slice]
     bounds: np.ndarray
 
+    @cached_property
+    def names(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _names(list(self.matrices.values()))
 
-@dataclass(frozen=True, eq=False)
+
+def _read_only(column, dtype) -> np.ndarray:
+    column = np.asarray(column, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class EdgeTable:
     """Trust cells as four parallel read-only columns: matrix tag, source id,
     target id (object arrays of ``str``) and trust (float64).
 
     Trust must be finite and non-negative: a synthetic draw may underflow to
-    zero, and rebuild treats a zero as an absent cell.
+    zero, and rebuild treats a zero as an absent cell. A table from
+    :func:`export_edge_table`, and the generators' copies of it, carry the
+    matrices its records came from; they pass None for tag, src and dst, and name
+    their records only when one of those columns is first read.
     """
 
-    tag: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
     trust: np.ndarray
     #: set only on tables from export_edge_table and the generators' copies of them
-    _support: _Support | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _support: _Support | None = field(repr=False)
+    #: the tag, src and dst columns of a table without support
+    _names: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("tag", "src", "dst", "trust"):
-            column = np.asarray(getattr(self, name), dtype=float if name == "trust" else object)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        shapes = {self.tag.shape, self.src.shape, self.dst.shape, self.trust.shape}
-        if self.trust.ndim != 1 or len(shapes) != 1:
+    def __init__(self, tag, src, dst, trust, *, _support: _Support | None = None):
+        names = None if _support else tuple(_read_only(c, object) for c in (tag, src, dst))
+        object.__setattr__(self, "trust", _read_only(trust, float))
+        object.__setattr__(self, "_support", _support)
+        object.__setattr__(self, "_names", names)
+        if self.trust.ndim != 1 or any(c.shape != self.trust.shape for c in names or ()):
             raise InputError("edge table columns must be 1-dimensional and of equal length")
         # a table with cells has the tags of the matrices those cells came from
-        unknown = set(self._support.slices if self._support else self.tag.tolist()) - _TAGS
+        unknown = set(_support.slices if _support else self.tag.tolist()) - _TAGS
         if unknown:
             raise InputError(f"unknown layer tag {min(unknown)!r}")
         self._refuse(~(np.isfinite(self.trust) & (self.trust >= 0)), "finite and non-negative")
+
+    @property
+    def tag(self) -> np.ndarray:
+        return (self._names or self._support.names)[0]
+
+    @property
+    def src(self) -> np.ndarray:
+        return (self._names or self._support.names)[1]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return (self._names or self._support.names)[2]
 
     def __len__(self) -> int:
         return len(self.trust)
@@ -138,36 +166,42 @@ def export_edge_table(matrices: Iterable[TrustMatrix]) -> EdgeTable:
     """Flatten trust matrices to an edge table, row-major, skipping zero cells.
 
     When each matrix has its own tag and no repeated id, the table carries the
-    matrices it was read from, and so a (tag, src) row or a tag is a contiguous
-    run of records.
+    matrices it was read from, so a (tag, src) row or a tag is a contiguous run
+    of records, and it names its records only when they are read.
     """
     matrices = list(matrices)
     if not matrices:
         return EdgeTable([], [], [], [])
-    row, col, trust = (np.concatenate(c) for c in zip(*(m.cells for m in matrices)))
-    counts = [len(m.cells[2]) for m in matrices]
-    which = np.repeat(np.arange(len(matrices)), counts)
-    tag = np.array([m.tag for m in matrices], dtype=object)[which]
-    row_ids, src_at = _joined([m.row_ids for m in matrices], which, row)
-    col_ids, dst_at = _joined([m.col_ids for m in matrices], which, col)
-    src, dst = row_ids[src_at], col_ids[dst_at]
+    trust = np.concatenate([m.cells[2] for m in matrices])
     if len({m.tag for m in matrices}) < len(matrices) or any(
             len(set(ids)) < len(ids) for m in matrices for ids in (m.row_ids, m.col_ids)):
-        return EdgeTable(tag, src, dst, trust)
+        return EdgeTable(*_names(matrices), trust)
+    counts = [len(m.cells[2]) for m in matrices]
     ends = np.cumsum([0] + counts).tolist()
     slices = {m.tag: slice(a, b) for m, a, b in zip(matrices, ends, ends[1:]) if b > a}
     # rows of all matrices are numbered in table order, so a row starts where the number changes
-    bounds = np.append(np.flatnonzero(np.diff(src_at, prepend=-1)), len(trust))
-    return EdgeTable(tag, src, dst, trust, _support=_Support(
+    offsets = np.cumsum([0] + [len(m.row_ids) for m in matrices[:-1]])
+    row = np.concatenate([m.cells[0] for m in matrices]) + np.repeat(offsets, counts)
+    bounds = np.append(np.flatnonzero(np.diff(row, prepend=-1)), len(trust))
+    return EdgeTable(None, None, None, trust, _support=_Support(
         matrices={m.tag: m for m in matrices}, slices=slices, bounds=bounds))
 
 
-def _joined(ids: list[Sequence[str]], which: np.ndarray,
-            index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The id lists as one object array, and the place in it of id ``index[k]``
-    of list ``which[k]`` for each record ``k``."""
+def _names(matrices: Sequence[TrustMatrix]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tag, src and dst columns of the matrices' nonzero cells, in table order."""
+    row, col = (np.concatenate(c) for c in zip(*(m.cells[:2] for m in matrices)))
+    which = np.repeat(np.arange(len(matrices)), [len(m.cells[2]) for m in matrices])
+    tag = np.array([m.tag for m in matrices], dtype=object)[which]
+    src = _joined([m.row_ids for m in matrices], which, row)
+    dst = _joined([m.col_ids for m in matrices], which, col)
+    return tuple(_read_only(column, object) for column in (tag, src, dst))
+
+
+def _joined(ids: list[Sequence[str]], which: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Id ``index[k]`` of list ``which[k]`` for each record ``k``, gathered from one
+    object array of all the lists."""
     offsets = np.cumsum([0] + [len(names) for names in ids])[which]
-    return np.array([name for names in ids for name in names], dtype=object), index + offsets
+    return np.array([name for names in ids for name in names], dtype=object)[index + offsets]
 
 
 def write_edge_table(table: EdgeTable, path) -> None:
@@ -216,7 +250,8 @@ def generate_synthetic(table: EdgeTable, config: GeneratorConfig) -> EdgeTable:
         for group in _tag_groups(table).values():
             values = table.trust[group]
             trust[group] = rng.choice(values, size=len(values), replace=True)
-    return EdgeTable(table.tag, table.src, table.dst, trust, _support=table._support)
+    # a carried copy shares its support, and so the names it builds once read
+    return EdgeTable(*(table._names or (None,) * 3), trust, _support=table._support)
 
 
 def _rows(table: EdgeTable) -> tuple[np.ndarray | slice, np.ndarray]:
@@ -274,7 +309,7 @@ def rebuild_trust(table: EdgeTable,
     since self-trust is structurally excluded. Every row is renormalized, so
     record values only set row proportions. Records are found in each matrix
     by their ids, unless the table carries a source matrix with that matrix's
-    very ids, whose cells they are.
+    very ids: then they are its cells, scattered straight into the zero grid.
     """
     support = table._support
     by_tag = _tag_groups(table)
@@ -286,7 +321,9 @@ def rebuild_trust(table: EdgeTable,
     for tag, template in shapes.items():
         group = by_tag.get(tag, np.zeros(0, dtype=np.intp))
         source = support.matrices.get(tag) if support else None
-        if source and (source.row_ids, source.col_ids) == (template.row_ids, template.col_ids):
+        carried = source is not None and (
+            (source.row_ids, source.col_ids) == (template.row_ids, template.col_ids))
+        if carried:
             rows, cols = source.cells[:2]
         else:
             src, dst = table.src[group], table.dst[group]
@@ -302,7 +339,12 @@ def rebuild_trust(table: EdgeTable,
             if not keep.all():
                 dropped[tag] = int((~keep).sum())
                 rows, cols, values = rows[keep], cols[keep], values[keep]
-        grid = from_cells(template.shape, rows, cols, values, f"{tag} edges")
+        if carried:
+            # a matrix's own cells are in range and each given once: none of from_cells' checks
+            grid = np.zeros(template.shape)
+            grid[rows, cols] = values
+        else:
+            grid = from_cells(template.shape, rows, cols, values, f"{tag} edges")
         matrices[tag] = replace(template, values=_normalize_rows(grid, grid, tag, template.row_ids))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)

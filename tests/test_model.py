@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop import (AdjacencyBlock, LayerId, MultiLayerNetwork, ScoreVector, TrustMatrix,
                        validate_network)
 from trustprop.errors import InputError
-from trustprop.model import INTER_LAYER_PAIRS, LAYERS, ScoreKind
+from trustprop.model import INTER_LAYER_PAIRS, LAYERS, ScoreKind, from_cells
 
 
 def test_layer_ids_and_tags():
@@ -167,3 +169,57 @@ def test_network_structure_enforced_at_construction(demo_network):
             (reversed_doctors, inter, "doctorxdoctor block: ids do not match the layers' node order")):
         with pytest.raises(InputError, match=message):
             MultiLayerNetwork(graphs=demo_network.graphs, intra=intra_blocks, inter=inter_blocks)
+
+
+def masked_from_cells(shape, rows, cols, values, label):
+    """The oracle: ``from_cells`` as it was when a dense boolean mask of the block's
+    shape found a repeated cell."""
+    rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+    if not (rows.ndim == cols.ndim == values.ndim == 1 and len(rows) == len(cols) == len(values)):
+        raise InputError(f"{label}: row, col and value must be lists of equal length")
+    for index, size in ((rows, shape[0]), (cols, shape[1])):
+        if index.size and not (index.dtype.kind in "iu" and 0 <= index.min() <= index.max() < size):
+            raise InputError(f"{label}: a cell index is not an integer inside the "
+                             f"{shape[0]}x{shape[1]} matrix")
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    if values.size and values.dtype.kind not in "iuf":
+        raise InputError(f"{label}: a cell value is not a number")
+    seen = np.zeros(shape, dtype=bool)
+    seen[rows, cols] = True
+    if np.count_nonzero(seen) != len(rows):
+        raise InputError(f"{label}: a cell is given more than once")
+    matrix = np.zeros(shape)
+    matrix[rows, cols] = values
+    return matrix
+
+
+def cells_outcome(build, *args):
+    try:
+        matrix = build(*args)
+    except InputError as error:
+        return str(error)
+    return matrix.shape, matrix.tobytes()
+
+
+def test_from_cells_rejects_a_repeated_cell():
+    assert from_cells((2, 3), [1, 0], [2, 2], [0.5, 1.0], "b")[1, 2] == 0.5
+    # the same row and the same column, each on its own, repeat freely
+    for rows, cols in (([0, 1, 0], [2, 0, 2]), ([1, 1], [0, 0])):
+        with pytest.raises(InputError, match="^b: a cell is given more than once$"):
+            from_cells((2, 3), rows, cols, [1.0] * len(rows), "b")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_from_cells_matches_the_dense_mask_oracle(n_rows, n_cols, past_edges, data):
+    """Small blocks, so cells repeat often; indices may reach one past each edge,
+    and the columns may come as floats."""
+    reach = int(past_edges)
+    cells = data.draw(st.lists(st.tuples(st.integers(-reach, n_rows - 1 + reach),
+                                         st.integers(-reach, n_cols - 1 + reach),
+                                         st.floats(-1.0, 1.0)), max_size=10))
+    rows, cols, values = ([cell[k] for cell in cells] for k in range(3))
+    if data.draw(st.integers(0, 3)) == 0:
+        cols = np.asarray(cols, dtype=float)
+    args = ((n_rows, n_cols), rows, cols, values, "b")
+    assert cells_outcome(from_cells, *args) == cells_outcome(masked_from_cells, *args)

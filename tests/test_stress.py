@@ -29,7 +29,7 @@ from trustprop import (
     stress_compare,
     write_edge_table,
 )
-from trustprop import model
+from trustprop import model, stress
 from trustprop.errors import InputError, MalformedRowError
 from trustprop.ingest import EntityStore
 from trustprop.stress import trust_network_from_tags
@@ -64,7 +64,14 @@ def test_edge_table_validation():
         EdgeTable(["h", "h"], ["H1", "H2"], ["H2", "H1"], [0.5])
 
 
-def test_export_covers_all_nonzero_cells(demo_trust):
+def dense_records(matrices) -> list[tuple[str, str, str, float]]:
+    """The oracle: each nonzero cell of each matrix in turn as (tag, src, dst, trust),
+    found by a dense scan, row-major."""
+    return [(m.tag, m.row_ids[i], m.col_ids[j], float(m.values[i, j]))
+            for m in matrices for i, j in zip(*np.nonzero(m.values))]
+
+
+def test_export_covers_all_nonzero_cells(demo_network, demo_trust):
     table = export_edge_table(demo_trust.all_matrices())
     assert len(table) == 68
     by_tag = {}
@@ -72,6 +79,17 @@ def test_export_covers_all_nonzero_cells(demo_trust):
         by_tag[tag] = by_tag.get(tag, 0) + 1
     assert by_tag == {"h": 12, "d": 6, "p": 18, "hd": 8, "dh": 8, "dp": 8, "pd": 8}
     assert (table.trust > 0).all()
+    for network in stress_networks(demo_network):
+        matrices = derive_network_trust(network).all_matrices()
+        # a tag given twice leaves the table plain: it is named when it is made
+        for source in (matrices, matrices + matrices[:1]):
+            table = export_edge_table(source)
+            assert (table._support is None) == (source is not matrices)
+            for column in (table.tag, table.src, table.dst):
+                assert column.dtype == object and not column.flags.writeable
+            records = zip(table.tag.tolist(), table.src.tolist(), table.dst.tolist(),
+                          table.trust.tolist())
+            assert list(records) == dense_records(source)
 
 
 def test_edge_table_csv_round_trip(tmp_path, demo_trust):
@@ -431,6 +449,30 @@ def test_run_stress_equals_the_public_steps_on_an_index_less_table(demo_network,
                         == scores[layer].result.scores.values.tobytes())
             assert run.reports == stress_compare(true_scores, scores, ks,
                                                  scenario=f"{method.value}/seed={run.seed}")
+
+
+@pytest.mark.parametrize("method", list(GeneratorMethod))
+def test_a_carried_stress_run_never_names_its_records(monkeypatch, demo_network, method):
+    """run_stress reads the carried cells: it builds no tag, src or dst column and
+    passes no cell through from_cells' checks, on sparse and dense doctor blocks."""
+    dense = build_network(random_store(np.random.default_rng(17), 5, 6, 9))
+    doctors = derive_network_trust(dense).intra[LayerId.DOCTOR]
+    assert doctors.nonzero_count >= doctors.values.size / 8
+
+    def refuse(*args):
+        raise AssertionError("a carried stress run named its records or checked its cells")
+
+    for network in (demo_network, dense):
+        trusts = derive_network_trust(network)
+        true_scores = demo_scores(network, trusts)
+        with monkeypatch.context() as patch:
+            for module, name in ((stress, "_names"), (stress, "from_cells"),
+                                 (model, "from_cells")):
+                patch.setattr(module, name, refuse)
+            runs = run_stress(trusts, true_scores, GeneratorConfig(method=method), [3, 4])
+        # the names, once read, are built once for the exported table and its copies
+        assert runs[0].edges.src is runs[1].synthetic.src
+        assert runs[1].edges.tag is runs[0].synthetic.tag
 
 
 def test_carried_cells_against_other_ids_resolve_by_name(demo_trust):
