@@ -29,7 +29,6 @@ from .model import (
     LayerId,
     MultiLayerNetwork,
     from_cells,
-    nonzero_cells,
     validate_network,
 )
 
@@ -84,7 +83,7 @@ _CELL_KEYS = ("row", "col", "weight")
 
 def _block_payload(block: AdjacencyBlock) -> dict:
     """Every nonzero cell of the block, row-major, as three parallel lists."""
-    return dict(zip(_CELL_KEYS, nonzero_cells(block.weights)))
+    return dict(zip(_CELL_KEYS, block.cells))
 
 
 def _block_from_payload(payload: Mapping, graphs: Mapping[LayerId, tuple[str, ...]],

@@ -7,18 +7,19 @@ order; inter-layer blocks exist only where a belongs-to relation exists
 lexicographic order of the entity identifiers and is fixed when the network is
 built.
 
-Matrices are dense ``numpy`` arrays, frozen read-only after construction so
-instances can be shared across threads. ``AdjacencyBlock`` and ``TrustMatrix``
-share one base, ``_LabelledMatrix``, which owns the row and column labels and
-everything read from them. That base is the one storage seam: a sparse backend
-behind the ``weights``/``values`` attributes would slot in there. The moves
-between a matrix and its nonzero cells (``nonzero_cells``, ``from_cells``) and
-the checks on cell values (``cell_violations``) live here and nowhere else.
-``from_cells`` finds a repeated cell among its sorted flat keys, so its checks
-grow with the cells, not with the block. A ``TrustMatrix`` finds its nonzero
-count and its cells once, on first use, and keeps them read-only
-(``nonzero_count``, ``cells``): propagation multiplies over the cells and the
-edge table shares them, so a matrix is scanned once per process.
+Blocks are dense ``numpy`` arrays; a trust matrix derived from a block keeps
+only its nonzero cells and builds its dense ``values`` on first read. Both are
+frozen read-only after construction so instances can be shared across threads.
+``AdjacencyBlock`` and ``TrustMatrix`` share one base, ``_LabelledMatrix``,
+which owns the row and column labels, everything read from them, and the
+matrix's ``cells``: its nonzero cells, found once on first use and kept
+read-only. Trust derives from a block's cells, propagation multiplies over a
+matrix's cells and the edge table shares them, so a block is scanned at most
+once per process and a derived trust matrix never. The moves between a matrix
+and its nonzero cells (``nonzero_cells``, ``from_cells``) and the checks on
+cell values (``cell_violations``) live here and nowhere else. ``from_cells``
+finds a repeated cell among its sorted flat keys, so its checks grow with the
+cells, not with the block.
 """
 from __future__ import annotations
 
@@ -154,14 +155,21 @@ def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_
     return out
 
 
-@dataclass(frozen=True)
+def _read_only(cells: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for array in cells:
+        array.setflags(write=False)
+    return tuple(cells)
+
+
+@dataclass(frozen=True, eq=False)
 class _LabelledMatrix:
     """A matrix whose rows are one layer's entities and whose columns are another's.
 
     The labels (``rows``, ``cols``, ``row_ids``, ``col_ids``) and what they
-    imply (``is_intra``, ``tag``, ``shape``) live here; each subclass adds its
-    matrix field, frozen by :func:`_freeze_matrix` to the ids' shape, and the
-    ``violations`` of its cells.
+    imply (``is_intra``, ``tag``, ``shape``) live here, and so do the matrix's
+    ``cells``; each subclass adds its matrix, named by ``_MATRIX`` and frozen
+    by :func:`_freeze_matrix` to the ids' shape, and the ``violations`` of its
+    cells.
     """
 
     rows: LayerId
@@ -182,6 +190,13 @@ class _LabelledMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.row_ids), len(self.col_ids)
 
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`nonzero_cells` of the matrix, found once and read-only: both trust
+        directions of a block divide its cells, propagation reads a trust matrix's
+        cells each step, and an edge table keeps the matrix and reads them each rebuild."""
+        return _read_only(nonzero_cells(getattr(self, self._MATRIX)))
+
 
 @dataclass(frozen=True)
 class AdjacencyBlock(_LabelledMatrix):
@@ -195,6 +210,8 @@ class AdjacencyBlock(_LabelledMatrix):
     and their id order, :class:`MultiLayerNetwork` enforces at construction.
     """
 
+    _MATRIX = "weights"
+
     weights: np.ndarray
 
     def __post_init__(self):
@@ -207,7 +224,7 @@ class AdjacencyBlock(_LabelledMatrix):
                                square=self.is_intra, symmetric=self.is_intra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TrustMatrix(_LabelledMatrix):
     """Row-stochastic trust derived from an adjacency block.
 
@@ -216,28 +233,43 @@ class TrustMatrix(_LabelledMatrix):
     zero. ``violations`` reports breaches instead of the constructor raising,
     for the same inspectability reason as AdjacencyBlock.
 
-    ``values`` is read-only, so the cached ``nonzero_count`` and ``cells`` can
-    never go stale; a matrix with other values is a new instance.
+    A matrix is given either its dense ``values`` or its ``cells``, unchecked:
+    row indices, column indices and values, row-major, each cell once and none
+    zero, as :func:`nonzero_cells` finds them. Trust derived from a block is
+    given cells, and builds its dense ``values`` from them only when something
+    reads it: the dense product route, ``violations``, the saved trust bundle
+    and the closed form. Both forms are read-only, so the cached
+    ``nonzero_count``, ``cells`` and ``values`` can never go stale; a matrix
+    with other values is a new instance.
     """
 
-    values: np.ndarray
+    _MATRIX = "values"
 
-    def __post_init__(self):
-        _freeze_matrix(self, "values", f"{self.tag} trust matrix")
+    def __init__(self, rows: LayerId, cols: LayerId, row_ids: tuple[str, ...],
+                 col_ids: tuple[str, ...], values: np.ndarray | None = None, *,
+                 cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+        super().__init__(rows, cols, row_ids, col_ids)
+        if (values is None) == (cells is None):
+            raise InputError(f"{self.tag} trust matrix: give either its values or its cells")
+        if cells is None:
+            object.__setattr__(self, "values", values)
+            _freeze_matrix(self, "values", f"{self.tag} trust matrix")
+        else:
+            self.__dict__.update(cells=_read_only(cells), nonzero_count=len(cells[2]))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The dense matrix, zero-filled around ``cells``: built on first read, read-only."""
+        rows, cols, values = self.cells
+        dense = np.zeros(self.shape)
+        dense[rows, cols] = values
+        dense.setflags(write=False)
+        return dense
 
     @cached_property
     def nonzero_count(self) -> int:
         """How many cells of ``values`` are nonzero, counted once."""
         return int(np.count_nonzero(self.values))
-
-    @cached_property
-    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`nonzero_cells` of ``values``, found once and read-only: propagation reads
-        them each step, and an edge table keeps the matrix and reads them each rebuild."""
-        cells = nonzero_cells(self.values)
-        for array in cells:
-            array.setflags(write=False)
-        return cells
 
     def violations(self) -> list[str]:
         return cell_violations(f"{self.tag} trust", self.values, self.row_ids, self.col_ids,

@@ -9,8 +9,9 @@ conserved at every step.
 
 Every product ``s @ T`` sums ``s[i] * T[i, :]`` in row order, so its bits do not
 depend on the BLAS thread count. A sparse T is multiplied over the nonzero cells
-that the ``TrustMatrix`` caches, so a step costs its cells, not n²; a matrix at
-least an eighth full is multiplied over its dense values, in the same order.
+that the ``TrustMatrix`` stores, so a step costs its cells, not n², and its dense
+values are never built; a matrix at least an eighth full is multiplied over its
+dense values, built from its cells on the first product, in the same order.
 """
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def _row_order_product(vector: np.ndarray, matrix: TrustMatrix) -> np.ndarray:
     """``vector @ matrix.values``, summed as ``acc = acc + vector[i] * T[i]`` over
     the rows in order. Both routes give the same bits: bincount adds each column's
     cells in the order of the row-major cell list."""
-    if matrix.nonzero_count >= _DENSE_SHARE * matrix.values.size:
+    if matrix.nonzero_count >= _DENSE_SHARE * math.prod(matrix.shape):
         return np.einsum("i,ij->j", vector, matrix.values)
     rows, cols, values = matrix.cells
     # with no cells, bincount returns int64 zeros

@@ -345,7 +345,7 @@ def rebuild_trust(table: EdgeTable,
             grid[rows, cols] = values
         else:
             grid = from_cells(template.shape, rows, cols, values, f"{tag} edges")
-        matrices[tag] = replace(template, values=_normalize_rows(grid, grid, tag, template.row_ids))
+        matrices[tag] = replace(template, values=_normalize_rows(grid, tag, template.row_ids))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)
     return matrices, report

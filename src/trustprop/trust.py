@@ -3,7 +3,10 @@
 Each row of a trust matrix is the source entity's outgoing weights divided by
 their sum; sources with no edges keep an all-zero row rather than being
 smoothed. Reverse trust for a belongs-to block is the same normalization
-applied to the transpose, giving the child-to-parent direction.
+applied to the transpose, giving the child-to-parent direction. Only the
+block's nonzero cells are divided, and the trust matrix keeps them as its
+cells; each row sum is still taken over the dense row, so every quotient has
+the bits a dense divide would give it.
 """
 from __future__ import annotations
 
@@ -22,32 +25,46 @@ from .model import (
 )
 
 
-def _normalize_rows(weights: np.ndarray, out: np.ndarray, tag: str,
-                    row_ids: tuple[str, ...]) -> np.ndarray:
-    """Each row of ``weights`` divided by its sum, into ``out``: zero-filled, or ``weights``
-    itself. The sums run in the order of ``weights``' own layout, strided or not. Raises
-    InputError on a row whose sum overflows, which would otherwise divide to a row of zeros."""
+def _row_sums(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
+    """Each row's sum of ``weights``, added in the order of ``weights``' own layout, strided
+    or not. Raises InputError on a row whose sum overflows, which would otherwise divide to a
+    row of zeros."""
     with np.errstate(over="ignore"):
-        sums = weights.sum(axis=1, keepdims=True)
+        sums = weights.sum(axis=1)
     overflowed = np.flatnonzero(~np.isfinite(sums))
     if overflowed.size:
         raise InputError(f"{tag} trust: the weights of {row_ids[overflowed[0]]} sum past "
                          "the float range")
-    return np.divide(weights, sums, out=out, where=sums > 0)
+    return sums
+
+
+def _normalize_rows(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
+    """``weights`` itself, each row whose sum is positive divided by that sum in place."""
+    sums = _row_sums(weights, tag, row_ids)[:, None]
+    return np.divide(weights, sums, out=weights, where=sums > 0)
+
+
+def _divide_cells(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                  sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's weight divided by its row's sum. A cell is dropped where that sum is not
+    positive or the quotient is 0, which is where a zero-filled dense divide leaves a 0."""
+    row_sums = sums[rows]
+    quotients = np.divide(weights, row_sums, out=np.zeros(len(weights)), where=row_sums > 0)
+    kept = quotients != 0
+    if kept.all():
+        # the block's own index arrays, shared rather than copied: a network holds both
+        return rows, cols, quotients
+    return rows[kept], cols[kept], quotients[kept]
 
 
 def derive_trust(block: AdjacencyBlock) -> TrustMatrix:
-    """Row-normalize an adjacency block into a trust matrix.
+    """Row-normalize an adjacency block into a trust matrix, kept as its nonzero cells.
 
     All-zero rows stay all-zero; every other row sums to 1 within 1e-9.
     """
-    return TrustMatrix(
-        rows=block.rows,
-        cols=block.cols,
-        row_ids=block.row_ids,
-        col_ids=block.col_ids,
-        values=_normalize_rows(block.weights, np.zeros(block.shape), block.tag, block.row_ids),
-    )
+    sums = _row_sums(block.weights, block.tag, block.row_ids)
+    return TrustMatrix(rows=block.rows, cols=block.cols, row_ids=block.row_ids,
+                       col_ids=block.col_ids, cells=_divide_cells(*block.cells, sums))
 
 
 def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
@@ -55,20 +72,19 @@ def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
 
     Transposes the block and then row-normalizes, so each child distributes
     trust over the parents it belongs to in proportion to its weights there.
+    The block's cells, stably sorted by column, are the transpose's row-major cells.
     """
     if block.is_intra:
         raise InputError(
             f"reverse trust needs an inter-layer block, got intra-layer {block.rows.value}"
         )
-    return TrustMatrix(
-        rows=block.cols,
-        cols=block.rows,
-        row_ids=block.col_ids,
-        col_ids=block.row_ids,
-        # summed over the strided view, written into the C-order array the matrix keeps
-        values=_normalize_rows(block.weights.T, np.zeros(block.shape[::-1]),
-                               block.cols.tag + block.rows.tag, block.col_ids),
-    )
+    # summed over the strided view, as a dense transpose would be
+    sums = _row_sums(block.weights.T, block.cols.tag + block.rows.tag, block.col_ids)
+    rows, cols, weights = block.cells
+    order = np.argsort(cols, kind="stable")
+    return TrustMatrix(rows=block.cols, cols=block.rows, row_ids=block.col_ids,
+                       col_ids=block.row_ids,
+                       cells=_divide_cells(cols[order], rows[order], weights[order], sums))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -521,11 +522,11 @@ def test_matrices_sharing_a_tag_export_without_cells(demo_trust):
         rebuild_trust(table, demo_trust.by_tag())
 
 
-def sparse_store(n_doctors=120):
-    """Doctor i works at hospital i mod 20 and in department i mod 40, so every block
-    is less than an eighth full."""
-    doctors = {f"P{i:03d}": make_doctor(f"P{i:03d}", {f"H{i % 20:02d}"}, {f"D{i % 40:02d}"},
-                                        score=float(i % 7 + 1))
+def sparse_store(n_doctors=120, n_hospitals=20):
+    """Doctor i works at hospital i mod n_hospitals and in department i mod 2 n_hospitals,
+    so with the defaults every block is less than an eighth full."""
+    doctors = {f"P{i:03d}": make_doctor(f"P{i:03d}", {f"H{i % n_hospitals:02d}"},
+                                        {f"D{i % (2 * n_hospitals):02d}"}, score=float(i % 7 + 1))
                for i in range(n_doctors)}
     members, hosts, departments = {}, {}, {}
     for ident, doctor in doctors.items():
@@ -541,12 +542,11 @@ def sparse_store(n_doctors=120):
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_each_trust_matrix_is_scanned_once(monkeypatch, demo_store, sparse):
-    """Scoring three times and exporting once scan each matrix for its cells once:
-    products over the cells and the edge table read the same read-only arrays."""
+    """Deriving trust scans each block for its cells once, both directions of a
+    belongs-to block sharing the scan; derived trust is kept as its cells, so scoring
+    three times and exporting once scan no trust matrix: products over the cells and
+    the edge table read the same read-only arrays."""
     network = build_network(sparse_store() if sparse else demo_store)
-    trusts = derive_network_trust(network)
-    matrices = trusts.all_matrices()
-    assert {m.nonzero_count < m.values.size / 8 for m in matrices} == {sparse}
     scanned = []
     scan = model.nonzero_cells
 
@@ -555,16 +555,21 @@ def test_each_trust_matrix_is_scanned_once(monkeypatch, demo_store, sparse):
         return scan(values)
 
     monkeypatch.setattr(model, "nonzero_cells", counted)
+    trusts = derive_network_trust(network)
+    matrices = trusts.all_matrices()
+    assert {m.nonzero_count < math.prod(m.shape) / 8 for m in matrices} == {sparse}
+    blocks = [*network.intra.values(), *network.inter.values()]
+    assert [sum(values is b.weights for values in scanned) for b in blocks] == [1] * 5
     for _ in range(3):
         demo_scores(network, trusts)
     table = export_edge_table(matrices)
+    assert len(scanned) == len(blocks)
     for m in matrices:
-        assert sum(values is m.values for values in scanned) == 1, m.tag
+        assert sum(values is m.values for values in scanned) == 0, m.tag
         for cached, fresh in zip(m.cells, scan(m.values)):
             assert not cached.flags.writeable
             assert np.array_equal(cached, fresh), m.tag
         assert table._support.matrices[m.tag] is m
-    assert len(scanned) == len(matrices)
 
 
 def test_rebuild_keeps_one_array_per_matrix():

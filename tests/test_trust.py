@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trustprop import AdjacencyBlock, LayerId, derive_reverse_trust, derive_trust
+from trustprop import (AdjacencyBlock, LayerId, build_network, derive_network_trust,
+                       derive_reverse_trust, derive_trust)
 from trustprop.errors import InputError
+from trustprop.model import nonzero_cells
 from trustprop.stress import export_edge_table
+
+from test_stress import demo_scores, sparse_store
 
 
 def block_from(weights, rows=LayerId.HOSPITAL, cols=LayerId.DEPARTMENT):
@@ -66,6 +74,69 @@ def test_reverse_trust_sums_over_the_transposed_view():
         sums = weights.T.sum(axis=1, keepdims=True)
         expected = np.divide(weights.T, sums, out=np.zeros(weights.T.shape), where=sums > 0)
         assert reverse.values.tobytes() == expected.tobytes()
+
+
+def dense_trust(weights: np.ndarray) -> np.ndarray:
+    """The dense derivation, kept as the oracle: each row divided by its sum into a
+    zero-filled array, rows whose sum is not positive left at zero."""
+    sums = weights.sum(axis=1, keepdims=True)
+    return np.divide(weights, sums, out=np.zeros(weights.shape), where=sums > 0)
+
+
+#: fractional Jaccard-like weights and counts, with zeros common enough for all-zero rows;
+#: the negative cells give rows of positive and of negative sum, and 5e-324 next to 4.0
+#: divides to 0. No -0.0: a block's cells leave out zeros of either sign.
+WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 3.0, 4.0, 5e-324, -1.0]),
+                    st.integers(1, 12).flatmap(lambda d: st.integers(1, d).map(lambda k: k / d)))
+
+
+@st.composite
+def blocks(draw):
+    # rows of 8 cells or more, which numpy sums pairwise, not one cell after another
+    n, m = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    return np.array(draw(st.lists(st.lists(WEIGHTS, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), dtype=float).reshape(n, m)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(blocks())
+@example(np.array([[1 / 3, 2 / 3, 0.0], [0.0, 0.0, 0.0], [0.5, 0.25, 0.2]]))
+@example(np.array([[3.0, -1.0], [0.0, 0.0]]))
+@example(np.array([[5e-324, 4.0]]))
+@example(np.array([[1.0, -1.0, 5e-324]]))
+@example(np.zeros((0, 3)))
+@example(np.array([[k / 7 for k in range(1, 21)], [1 / 3] * 20]))
+def test_cells_divide_to_the_dense_derivations_bits(weights):
+    """Forward and reverse trust, divided over the block's cells, hold the bytes of the
+    dense divide, and their cells are that array's nonzero cells, row-major."""
+    block = block_from(weights)
+    # a negative cell can cancel a row down to 5e-324, and dividing by that overflows to inf
+    # in both derivations alike
+    with np.errstate(over="ignore"):
+        pairs = ((derive_trust(block), dense_trust(weights)),
+                 (derive_reverse_trust(block), dense_trust(weights.T)))
+    for trust, expected in pairs:
+        assert trust.values.tobytes() == expected.tobytes()
+        for cached, fresh in zip(trust.cells, nonzero_cells(expected)):
+            assert cached.tobytes() == fresh.tobytes()
+        assert trust.nonzero_count == np.count_nonzero(expected)
+
+
+def test_scoring_a_sparse_network_builds_no_dense_trust():
+    """Derived trust stays its cells through scoring where every matrix is less than an
+    eighth full: the peak stays under a quarter of the seven dense matrices' bytes."""
+    network = build_network(sparse_store(1200, n_hospitals=200))
+    tracemalloc.start()
+    try:
+        trusts = derive_network_trust(network)
+        demo_scores(network, trusts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrices = trusts.all_matrices()
+    assert all(m.nonzero_count < math.prod(m.shape) / 8 for m in matrices)
+    assert [m.tag for m in matrices if "values" in vars(m)] == []
+    assert peak <= sum(8 * math.prod(m.shape) for m in matrices) / 4
 
 
 def test_reverse_trust_rejects_intra_blocks():
