@@ -5,8 +5,8 @@ departments share doctors, doctors share hospitals. With ``B`` a layer's 0/1
 node x attribute incidence, over every attribute value the layer lists (values
 that name no entity still count), the block is ``B Bᵀ`` with the diagonal
 zeroed; Jaccard is ``shared / (deg_i + deg_j - shared)``. The block is counted
-from shared memberships, one pair per attribute two nodes hold, so its cost
-grows with those pairs, not with ``n² x attributes``. A belongs-to block
+from shared memberships, one pair per attribute two nodes hold, and kept as its
+cells, so its cost grows with those pairs, not with ``n²``. A belongs-to block
 holds one cell per declared membership, built from those cells alone. A
 hospital x department cell is declared by either record; its weight is the
 number of doctors who list both, or 1 when there is none. A department x
@@ -88,16 +88,17 @@ def build_intra_layer(store: EntityStore, layer: LayerId,
     ids, attrs = layer_attributes(store, layer)
     n = len(ids)
     i, j = _shared_pairs(attrs)
-    upper, lower = i * n + j, j * n + i
-    keys = np.concatenate([upper, lower])
+    # each pair's two cells, row-major; a cell repeats once per attribute the pair shares
+    keys = np.sort(np.concatenate([i * n + j, j * n + i]))
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    rows, cols = np.divmod(keys[starts], n)
     # float counts of small integers are exact, so the block equals B Bᵀ bit for bit
-    weights = np.bincount(keys, weights=np.ones(len(keys)), minlength=n * n)
+    weights = np.diff(starts, append=len(keys)).astype(float)
     if mode is SimilarityMode.JACCARD:
         degree = np.fromiter(map(len, attrs), dtype=float, count=n)
-        shared = weights[upper]
-        weights[upper] = weights[lower] = shared / (degree[i] + degree[j] - shared)
+        weights /= degree[rows] + degree[cols] - weights
     return AdjacencyBlock(rows=layer, cols=layer, row_ids=ids, col_ids=ids,
-                          weights=weights.reshape(n, n))
+                          cells=(rows, cols, weights))
 
 
 def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> AdjacencyBlock:
@@ -130,9 +131,9 @@ def build_inter_layer(store: EntityStore, rows: LayerId, cols: LayerId) -> Adjac
                     cells[row_at[d], col_at[p]] = dept.doctor_weights.get(
                         p, 0.0 if score is None else score)
     index = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
-    weights = from_cells((len(row_ids), len(col_ids)), *index, list(cells.values()),
+    checked = from_cells((len(row_ids), len(col_ids)), *index, list(cells.values()),
                          f"{rows.value}x{cols.value} block")
-    return AdjacencyBlock(rows=rows, cols=cols, row_ids=row_ids, col_ids=col_ids, weights=weights)
+    return AdjacencyBlock(rows=rows, cols=cols, row_ids=row_ids, col_ids=col_ids, cells=checked)
 
 
 def build_network(store: EntityStore,

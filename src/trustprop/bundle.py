@@ -89,9 +89,9 @@ def _block_payload(block: AdjacencyBlock) -> dict:
 def _block_from_payload(payload: Mapping, graphs: Mapping[LayerId, tuple[str, ...]],
                         rows: LayerId, cols: LayerId) -> AdjacencyBlock:
     row_ids, col_ids = graphs[rows], graphs[cols]
-    weights = from_cells((len(row_ids), len(col_ids)), *(payload[key] for key in _CELL_KEYS),
-                         f"{rows.value}x{cols.value} block")
-    return AdjacencyBlock(rows=rows, cols=cols, row_ids=row_ids, col_ids=col_ids, weights=weights)
+    cells = from_cells((len(row_ids), len(col_ids)), *(payload[key] for key in _CELL_KEYS),
+                       f"{rows.value}x{cols.value} block")
+    return AdjacencyBlock(rows=rows, cols=cols, row_ids=row_ids, col_ids=col_ids, cells=cells)
 
 
 def save_network(network: MultiLayerNetwork, path) -> None:

@@ -7,19 +7,21 @@ order; inter-layer blocks exist only where a belongs-to relation exists
 lexicographic order of the entity identifiers and is fixed when the network is
 built.
 
-Blocks are dense ``numpy`` arrays; a trust matrix derived from a block keeps
-only its nonzero cells and builds its dense ``values`` on first read. Both are
-frozen read-only after construction so instances can be shared across threads.
+Blocks and trust matrices are both stored as their cells: row indices, column
+indices and values of the nonzero cells, row-major, read-only. The builder,
+the bundle loader, trust derivation and stress rebuilds make every matrix from
+its cells, and a dense array (``AdjacencyBlock.weights``,
+``TrustMatrix.values``) is built only when something reads it, then cached.
 ``AdjacencyBlock`` and ``TrustMatrix`` share one base, ``_LabelledMatrix``,
-which owns the row and column labels, everything read from them, and the
-matrix's ``cells``: its nonzero cells, found once on first use and kept
-read-only. Trust derives from a block's cells, propagation multiplies over a
-matrix's cells and the edge table shares them, so a block is scanned at most
-once per process and a derived trust matrix never. The moves between a matrix
-and its nonzero cells (``nonzero_cells``, ``from_cells``) and the checks on
-cell values (``cell_violations``) live here and nowhere else. ``from_cells``
-finds a repeated cell among its sorted flat keys, so its checks grow with the
-cells, not with the block.
+which owns the row and column labels, everything read from them, the cells
+and the constructor that takes either form. The moves between a matrix and its
+cells (``nonzero_cells``, ``from_cells``), the row and column sums over cells
+(``row_sums``, ``column_sums``) and the checks on cell values
+(``cell_violations``) live here and nowhere else. Each grows with the cells,
+not with the matrix, except ``row_sums``, which keeps numpy's dense pairwise
+order and so reads every row, a few rows at a time, and the overflow check of
+``cell_violations``, which builds the dense matrix when the cells' magnitudes
+sum past half the float range.
 """
 from __future__ import annotations
 
@@ -34,6 +36,10 @@ import numpy as np
 from .errors import InputError
 
 ROW_SUM_TOL = 1e-9
+
+#: Cells whose magnitudes sum to at most this cannot overflow added in any order (each
+#: partial sum is within a factor 1 + n * eps of their magnitudes' sum).
+_HALF_RANGE = np.finfo(float).max / 2
 
 
 class LayerId(Enum):
@@ -78,78 +84,169 @@ def nonzero_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, cols, values.ravel()[flat]
 
 
-def from_cells(shape: tuple[int, int], rows, cols, values, label: str) -> np.ndarray:
-    """Zero-filled matrix holding the given cells.
+def _holds_bool(given, array: np.ndarray) -> bool:
+    """Whether a cell list holds a bool, which numpy reads as a number next to numbers."""
+    return array.dtype.kind == "b" or (not isinstance(given, np.ndarray)
+                                       and bool in map(type, given))
+
+
+def from_cells(shape: tuple[int, int], rows, cols, values,
+               label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The given cells, checked, row-major and read-only, with zero-valued cells left out.
 
     Raises InputError unless the cells are three equal-length 1-dimensional
-    sequences of integer indices inside ``shape`` and numbers, each cell given once.
+    sequences of integer indices inside ``shape`` and numbers (no bools), each
+    cell given once.
     """
-    rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+    given = rows, cols, values
+    rows, cols, values = (np.asarray(array) for array in given)
     if not (rows.ndim == cols.ndim == values.ndim == 1 and len(rows) == len(cols) == len(values)):
         raise InputError(f"{label}: row, col and value must be lists of equal length")
-    for index, size in ((rows, shape[0]), (cols, shape[1])):
-        if index.size and not (index.dtype.kind in "iu" and 0 <= index.min() <= index.max() < size):
+    for index, size, raw in ((rows, shape[0], given[0]), (cols, shape[1], given[1])):
+        if index.size and not (index.dtype.kind in "iu" and 0 <= index.min() <= index.max() < size
+                               and not _holds_bool(raw, index)):
             raise InputError(f"{label}: a cell index is not an integer inside the "
                              f"{shape[0]}x{shape[1]} matrix")
     rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
-    if values.size and values.dtype.kind not in "iuf":
+    if values.size and (values.dtype.kind not in "iuf" or _holds_bool(given[2], values)):
         raise InputError(f"{label}: a cell value is not a number")
-    keys = np.sort(rows * shape[1] + cols)
-    if (keys[1:] == keys[:-1]).any():
-        raise InputError(f"{label}: a cell is given more than once")
-    matrix = np.zeros(shape)
-    matrix[rows, cols] = values
-    return matrix
+    keys = rows * shape[1] + cols
+    if not (keys[1:] > keys[:-1]).all():  # not already row-major, each cell once
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise InputError(f"{label}: a cell is given more than once")
+        rows, cols, values = rows[order], cols[order], values[order]
+    kept = values != 0
+    return _read_only((rows[kept], cols[kept], values[kept].astype(float, copy=False)))
 
 
-def _first_cell(mask: np.ndarray) -> tuple[int, int] | None:
-    """Row and column of the first set cell of ``mask``, row-major, or None."""
-    hits = np.flatnonzero(mask)
-    return np.unravel_index(hits[0], mask.shape) if hits.size else None
+#: the most cells :func:`row_sums` lays out densely at a time
+_GRID_CELLS = 1 << 16
 
 
-def cell_violations(label: str, values: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str],
-                    *, square: bool, symmetric: bool = False, stochastic: bool = False) -> list[str]:
+def row_sums(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+             shape: tuple[int, int]) -> np.ndarray:
+    """Each row's sum of row-major cells, bit for bit as numpy sums the row of the dense
+    C-order matrix (pairwise, in blocks set by the zero cells' places too). A few rows at a
+    time are laid out in one transient zero grid of at most ``_GRID_CELLS`` cells (or one
+    row); rows without cells sum to 0. A sum past the float range is inf, without a warning.
+    """
+    rows, cols, values = cells
+    n_rows, n_cols = shape
+    step = max(1, _GRID_CELLS // max(n_cols, 1))
+    sums = np.zeros(n_rows)
+    grid = np.zeros((min(step, n_rows), n_cols))
+    bounds = np.searchsorted(rows, np.arange(0, n_rows + step, step)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, lo, hi in zip(range(0, n_rows, step), bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            local = rows[lo:hi] - start
+            grid[local, cols[lo:hi]] = values[lo:hi]
+            sums[start:start + step] = grid[:min(step, n_rows - start)].sum(axis=1)
+            grid[local, cols[lo:hi]] = 0.0
+    return sums
+
+
+def column_sums(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+                shape: tuple[int, int]) -> np.ndarray:
+    """Each column's sum of row-major cells, bit for bit as numpy sums the rows of the
+    dense matrix's transposed view: each column's cells added in row order, except that
+    the transpose of a single column is one contiguous row, which numpy sums pairwise."""
+    rows, cols, values = cells
+    if shape[1] == 1:
+        return row_sums((cols, rows, values), shape[::-1])
+    return np.bincount(cols, weights=values, minlength=shape[1])
+
+
+def _first_asymmetry(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                     n: int) -> tuple[int, int] | None:
+    """Row and column of the first place, row-major, where a square matrix given as
+    row-major cells differs from its transpose (an absent cell holds 0, and NaN differs
+    from itself), or None. The lower triangle's cells, stably sorted by column, are in
+    the row-major order of their mirror images, which a symmetric matrix's upper cells
+    match one for one, so only the lower half is sorted; any other matrix is searched
+    cell by cell."""
+    upper, lower = rows < cols, rows > cols
+    lower_cols = cols[lower]
+    # the columns in the narrowest type that holds them: numpy sorts 16-bit integers stably
+    # by radix, on a 1 063-wide block with 90 900 lower cells in 0.7 ms against 4 ms as int64
+    order = np.argsort(lower_cols.astype(np.min_scalar_type(n)), kind="stable")
+    if (np.array_equal(rows[upper], lower_cols[order])
+            and np.array_equal(cols[upper], rows[lower][order])
+            and np.array_equal(values[upper], values[lower][order])
+            and not np.isnan(values).any()):
+        return None
+    keys, mirror = rows * n + cols, cols * n + rows
+    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    found = keys[at] == mirror
+    differs = values != np.where(found, values[at], 0.0)
+    return divmod(int(np.concatenate([keys[differs], mirror[~found]]).min()), n)
+
+
+def _first(hits: np.ndarray) -> int | None:
+    """Index of the first True of ``hits``, or None."""
+    return int(np.argmax(hits)) if hits.any() else None
+
+
+def cell_violations(label: str, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    row_ids: Sequence[str], col_ids: Sequence[str], *, square: bool,
+                    symmetric: bool = False, stochastic: bool = False) -> list[str]:
     """Describe the cells that break a labelled matrix's invariants (empty when sound).
 
+    ``cells`` are the matrix's row-major cells, each given once and none zero.
     Every cell must be finite and non-negative, and a square matrix (rows and
     columns index one layer) has a zero diagonal. ``symmetric`` also requires
-    ``values == values.T``; ``stochastic`` requires cells of at most 1 and rows
-    summing to 0 or 1 within ROW_SUM_TOL; any other matrix's rows and columns,
-    which trust divides by their sums, must sum inside the float range. Each
-    kind of bad cell or sum is reported at its first hit (rows before columns),
-    except diagonal cells and row sums, which are all reported.
+    the matrix to equal its transpose; ``stochastic`` requires cells of at most
+    1 and rows summing to 0 or 1 within ROW_SUM_TOL; any other matrix's rows
+    and columns, which trust divides by their sums, must sum inside the float
+    range. Each kind of bad cell or sum is reported at its first hit, row-major
+    (rows before columns), except diagonal cells and row sums, which are all
+    reported. The messages and printed sums are those of the same checks on
+    the dense matrix: sums are numpy's dense row sums, and the overflow check,
+    run only when the cells' magnitudes sum past half the float range, sums
+    the dense matrix itself.
     """
+    rows, cols, values = cells
+    shape = len(row_ids), len(col_ids)
     noun = "value" if stochastic else "weight"
 
     def cell(i, j) -> str:
         return f"({row_ids[i]},{col_ids[j]})"
 
+    def value(i, j):
+        at = np.flatnonzero((rows == i) & (cols == j))
+        return values[at[0]] if at.size else 0.0
+
     out = []
-    if (nonfinite := _first_cell(~np.isfinite(values))) is not None:
-        out.append(f"{label}: non-finite {noun} {values[nonfinite]} at {cell(*nonfinite)}")
-    if (hit := _first_cell(values < 0)) is not None:
-        out.append(f"{label}: negative {noun} at {cell(*hit)}")
+    if (nonfinite := _first(~np.isfinite(values))) is not None:
+        out.append(f"{label}: non-finite {noun} {values[nonfinite]} at "
+                   f"{cell(rows[nonfinite], cols[nonfinite])}")
+    if (k := _first(values < 0)) is not None:
+        out.append(f"{label}: negative {noun} at {cell(rows[k], cols[k])}")
     if square:
-        out += [f"{label}: nonzero diagonal at {cell(i, i)}"
-                for i in np.flatnonzero(np.diagonal(values))]
-    if symmetric and (hit := _first_cell(values != values.T)) is not None:
+        out += [f"{label}: nonzero diagonal at {cell(i, i)}" for i in rows[rows == cols]]
+    if symmetric and (hit := _first_asymmetry(rows, cols, values, shape[0])) is not None:
         i, j = hit
-        out.append(f"{label}: asymmetric at {cell(i, j)}={values[i, j]} "
-                   f"vs {cell(j, i)}={values[j, i]}")
+        out.append(f"{label}: asymmetric at {cell(i, j)}={value(i, j)} "
+                   f"vs {cell(j, i)}={value(j, i)}")
     if stochastic:
-        if (hit := _first_cell(values > 1 + ROW_SUM_TOL)) is not None:
-            out.append(f"{label}: {noun} above 1 at {cell(*hit)}")
+        if (k := _first(values > 1 + ROW_SUM_TOL)) is not None:
+            out.append(f"{label}: {noun} above 1 at {cell(rows[k], cols[k])}")
         out += [f"{label}: row {row_ids[i]} sums to {total}, not 0 or 1"
-                for i, total in enumerate(values.sum(axis=1).tolist())
+                for i, total in enumerate(row_sums(cells, shape).tolist())
                 if total != 0.0 and abs(total - 1.0) > ROW_SUM_TOL]
     elif nonfinite is None:
-        with np.errstate(over="ignore"):
-            # a finite total of non-negative cells bounds every row and column sum
-            if not np.isfinite(values.sum()):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, when cells cancel
+            # Whether cells near the float range's end overflow hangs on the order numpy
+            # adds the dense matrix in, zeros and all, so their sums are taken from the
+            # dense matrix, built for this check alone.
+            if (not np.abs(values).sum() <= _HALF_RANGE
+                    and not np.isfinite((dense := _dense(cells, shape)).sum())):
                 for axis, name, ids in ((1, "row", row_ids), (0, "column", col_ids)):
-                    if (hit := _first_cell(~np.isfinite(values.sum(axis=axis)))) is not None:
-                        out.append(f"{label}: the {noun}s in {name} {ids[hit[0]]} sum past "
+                    if (k := _first(~np.isfinite(dense.sum(axis=axis)))) is not None:
+                        out.append(f"{label}: the {noun}s in {name} {ids[k]} sum past "
                                    "the float range")
                         break
     return out
@@ -161,21 +258,55 @@ def _read_only(cells: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return tuple(cells)
 
 
-@dataclass(frozen=True, eq=False)
+def _dense(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+           shape: tuple[int, int]) -> np.ndarray:
+    """The dense matrix of ``shape``, zero-filled around ``cells``."""
+    rows, cols, values = cells
+    dense = np.zeros(shape)
+    dense[rows, cols] = values
+    return dense
+
+
+def _dense_view(matrix: _LabelledMatrix) -> np.ndarray:
+    """A matrix's dense form, built on first read, read-only."""
+    dense = _dense(matrix.cells, matrix.shape)
+    dense.setflags(write=False)
+    return dense
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class _LabelledMatrix:
     """A matrix whose rows are one layer's entities and whose columns are another's.
 
     The labels (``rows``, ``cols``, ``row_ids``, ``col_ids``) and what they
     imply (``is_intra``, ``tag``, ``shape``) live here, and so do the matrix's
-    ``cells``; each subclass adds its matrix, named by ``_MATRIX`` and frozen
-    by :func:`_freeze_matrix` to the ids' shape, and the ``violations`` of its
-    cells.
+    ``cells``. A matrix is given either its dense matrix, named by each
+    subclass's ``_MATRIX`` and frozen by :func:`_freeze_matrix` to the ids'
+    shape, or its ``cells``, unchecked: row indices, column indices and values,
+    row-major, each cell once and none zero, as :func:`nonzero_cells` finds them
+    and :func:`from_cells` returns them. Whichever it lacks it builds on first
+    read and caches read-only, so neither can go stale; a matrix with other
+    values is a new instance. Each subclass adds the ``violations`` of its cells.
     """
 
     rows: LayerId
     cols: LayerId
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
+
+    def __init__(self, rows: LayerId, cols: LayerId, row_ids: tuple[str, ...],
+                 col_ids: tuple[str, ...], dense: np.ndarray | None,
+                 cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None):
+        for name, given in (("rows", rows), ("cols", cols), ("row_ids", row_ids),
+                            ("col_ids", col_ids)):
+            object.__setattr__(self, name, given)
+        if (dense is None) == (cells is None):
+            raise InputError(f"{self._label}: give either its {self._MATRIX} or its cells")
+        if cells is None:
+            object.__setattr__(self, self._MATRIX, dense)
+            _freeze_matrix(self, self._MATRIX, self._label)
+        else:
+            self.__dict__["cells"] = _read_only(cells)
 
     @property
     def is_intra(self) -> bool:
@@ -192,13 +323,13 @@ class _LabelledMatrix:
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`nonzero_cells` of the matrix, found once and read-only: both trust
-        directions of a block divide its cells, propagation reads a trust matrix's
+        """:func:`nonzero_cells` of a matrix given densely, found once and read-only: both
+        trust directions of a block divide its cells, propagation reads a trust matrix's
         cells each step, and an edge table keeps the matrix and reads them each rebuild."""
         return _read_only(nonzero_cells(getattr(self, self._MATRIX)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AdjacencyBlock(_LabelledMatrix):
     """A weighted block of the supra-adjacency structure.
 
@@ -208,19 +339,29 @@ class AdjacencyBlock(_LabelledMatrix):
     rather than enforced here, so that a block built from bad data can be
     inspected instead of being unrepresentable. Which blocks a network holds,
     and their id order, :class:`MultiLayerNetwork` enforces at construction.
+
+    The builder and the bundle loader give a block its cells, and nothing in
+    the pipeline reads its dense ``weights``: build, load, validation, trust
+    and rebuilds all work on the cells.
     """
 
     _MATRIX = "weights"
 
-    weights: np.ndarray
+    def __init__(self, rows: LayerId, cols: LayerId, row_ids: tuple[str, ...],
+                 col_ids: tuple[str, ...], weights: np.ndarray | None = None, *,
+                 cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+        super().__init__(rows, cols, row_ids, col_ids, weights, cells)
 
-    def __post_init__(self):
-        _freeze_matrix(self, "weights", f"{self.rows.value}x{self.cols.value} block")
+    weights = cached_property(_dense_view)
+
+    @property
+    def _label(self) -> str:
+        return f"{self.rows.value}x{self.cols.value} block"
 
     def violations(self) -> list[str]:
         label = (f"{self.rows.value} intra block" if self.is_intra
                  else f"{self.rows.value}x{self.cols.value} block")
-        return cell_violations(label, self.weights, self.row_ids, self.col_ids,
+        return cell_violations(label, self.cells, self.row_ids, self.col_ids,
                                square=self.is_intra, symmetric=self.is_intra)
 
 
@@ -233,14 +374,9 @@ class TrustMatrix(_LabelledMatrix):
     zero. ``violations`` reports breaches instead of the constructor raising,
     for the same inspectability reason as AdjacencyBlock.
 
-    A matrix is given either its dense ``values`` or its ``cells``, unchecked:
-    row indices, column indices and values, row-major, each cell once and none
-    zero, as :func:`nonzero_cells` finds them. Trust derived from a block is
-    given cells, and builds its dense ``values`` from them only when something
-    reads it: the dense product route, ``violations``, the saved trust bundle
-    and the closed form. Both forms are read-only, so the cached
-    ``nonzero_count``, ``cells`` and ``values`` can never go stale; a matrix
-    with other values is a new instance.
+    Trust derived from a block, or rebuilt from an edge table, is given its
+    cells, and builds its dense ``values`` only when something reads it: the
+    dense product route, the saved trust bundle and the closed form.
     """
 
     _MATRIX = "values"
@@ -248,23 +384,15 @@ class TrustMatrix(_LabelledMatrix):
     def __init__(self, rows: LayerId, cols: LayerId, row_ids: tuple[str, ...],
                  col_ids: tuple[str, ...], values: np.ndarray | None = None, *,
                  cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
-        super().__init__(rows, cols, row_ids, col_ids)
-        if (values is None) == (cells is None):
-            raise InputError(f"{self.tag} trust matrix: give either its values or its cells")
-        if cells is None:
-            object.__setattr__(self, "values", values)
-            _freeze_matrix(self, "values", f"{self.tag} trust matrix")
-        else:
-            self.__dict__.update(cells=_read_only(cells), nonzero_count=len(cells[2]))
+        super().__init__(rows, cols, row_ids, col_ids, values, cells)
+        if cells is not None:
+            self.__dict__["nonzero_count"] = len(cells[2])
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The dense matrix, zero-filled around ``cells``: built on first read, read-only."""
-        rows, cols, values = self.cells
-        dense = np.zeros(self.shape)
-        dense[rows, cols] = values
-        dense.setflags(write=False)
-        return dense
+    values = cached_property(_dense_view)
+
+    @property
+    def _label(self) -> str:
+        return f"{self.tag} trust matrix"
 
     @cached_property
     def nonzero_count(self) -> int:
@@ -272,7 +400,7 @@ class TrustMatrix(_LabelledMatrix):
         return int(np.count_nonzero(self.values))
 
     def violations(self) -> list[str]:
-        return cell_violations(f"{self.tag} trust", self.values, self.row_ids, self.col_ids,
+        return cell_violations(f"{self.tag} trust", self.cells, self.row_ids, self.col_ids,
                                square=self.is_intra, stochastic=True)
 
 

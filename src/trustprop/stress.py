@@ -3,9 +3,10 @@
 The trust matrices flatten to a columnar edge table (one row per positive cell). A
 generator rewrites the trust values — identity copy, Dirichlet perturbation
 around each source row, or bootstrap resampling within a layer — and the table
-is pivoted back into matrices, renormalized in place, and scored again. An exported
-table carries the matrices its records came from, whose cells locate each record,
-so each seed only redraws the values and scatters them back. Such a table builds
+is pivoted back into matrices, renormalized over their cells, and scored
+again. An exported table carries the matrices its records came from, whose
+cells locate each record, so each seed only redraws the values and divides
+them by their new row sums. Such a table builds
 the string columns that name its records (tag, src, dst) only when one is read:
 writing it does, a stress run does not. A Dirichlet seed
 draws the gammas of all its rows in one call and scales each row by its sum's
@@ -27,9 +28,9 @@ import numpy as np
 from .bundle import format_float, read_csv, write_csv
 from .errors import ConfigError, InputError, MalformedRowError
 from .metrics import MetricsReport, layer_reports
-from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells
+from .model import INTER_LAYER_PAIRS, LAYERS, LayerId, TrustMatrix, from_cells, row_sums
 from .scoring import ConvergenceConfig, LayerScores, is_int, is_real, score_network
-from .trust import TrustNetwork, _normalize_rows
+from .trust import TrustNetwork, _checked_sums, _divide_cells
 
 EDGE_TABLE_SCHEMA = "trust-edges/1"
 _EDGE_HEADER = ("layer", "src", "dst", "trust")
@@ -119,18 +120,32 @@ class EdgeTable:
                              f"({self.tag[k]}: {self.src[k]}->{self.dst[k]})")
 
 
-def _groups(keys: Sequence) -> dict:
-    """Row indices of each distinct key, in table order; keys in first-appearance order."""
+def _groups(*columns: np.ndarray) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """The table's rows grouped by their key, a tuple across ``columns``: the keys in
+    first-appearance order, the row indices group by group (each group in table order),
+    and the bounds of each group among them. A key's rows usually run together, so only
+    the first row of each run is looked up by key; numpy does the rest."""
+    size = len(columns[0])
+    starts = np.zeros(size, dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(starts)
     codes: dict = {}
-    inverse = np.fromiter((codes.setdefault(key, len(codes)) for key in keys),
-                          dtype=np.intp, count=len(keys))
-    bounds = np.cumsum(np.bincount(inverse, minlength=len(codes)))[:-1]
-    return dict(zip(codes, np.split(np.argsort(inverse, kind="stable"), bounds)))
+    run_keys = zip(*(column[starts].tolist() for column in columns))
+    group = np.repeat(np.fromiter((codes.setdefault(key, len(codes)) for key in run_keys),
+                                  dtype=np.intp, count=len(starts)),
+                      np.diff(np.append(starts, size)))
+    bounds = np.append(0, np.cumsum(np.bincount(group, minlength=len(codes))))
+    return list(codes), np.argsort(group, kind="stable"), bounds
 
 
 def _tag_groups(table: EdgeTable) -> dict:
     """Each tag's records (a slice or row indices); tags in first-appearance order."""
-    return table._support.slices if table._support else _groups(table.tag)
+    if table._support:
+        return table._support.slices
+    keys, order, bounds = _groups(table.tag)
+    return {tag: order[a:b] for (tag,), a, b in zip(keys, bounds[:-1], bounds[1:])}
 
 
 def _positions(ids: Sequence[str], column: np.ndarray) -> np.ndarray:
@@ -259,9 +274,7 @@ def _rows(table: EdgeTable) -> tuple[np.ndarray | slice, np.ndarray]:
     and the bounds of each row in that order."""
     if table._support:
         return slice(None), table._support.bounds
-    rows = list(_groups(list(zip(table.tag, table.src))).values())
-    order = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
-    return order, np.cumsum([0] + [len(indices) for indices in rows])
+    return _groups(table.tag, table.src)[1:]
 
 
 def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray,
@@ -304,12 +317,13 @@ def rebuild_trust(table: EdgeTable,
                   shapes: Mapping[str, TrustMatrix]) -> tuple[dict[str, TrustMatrix], RebuildReport]:
     """Pivot an edge table back into row-stochastic trust matrices.
 
-    Cells absent from the table are zero-filled; a cell given twice raises
+    Cells absent from the table are zero; a cell given twice raises
     InputError. Records on an intra-layer diagonal are dropped and counted,
     since self-trust is structurally excluded. Every row is renormalized, so
-    record values only set row proportions. Records are found in each matrix
-    by their ids, unless the table carries a source matrix with that matrix's
-    very ids: then they are its cells, scattered straight into the zero grid.
+    record values only set row proportions, and each rebuilt matrix keeps its
+    cells, as derived trust does. Records are found in each matrix by their
+    ids, unless the table carries a source matrix with that matrix's very ids:
+    then they are its cells, already checked and row-major.
     """
     support = table._support
     by_tag = _tag_groups(table)
@@ -339,13 +353,12 @@ def rebuild_trust(table: EdgeTable,
             if not keep.all():
                 dropped[tag] = int((~keep).sum())
                 rows, cols, values = rows[keep], cols[keep], values[keep]
-        if carried:
-            # a matrix's own cells are in range and each given once: none of from_cells' checks
-            grid = np.zeros(template.shape)
-            grid[rows, cols] = values
-        else:
-            grid = from_cells(template.shape, rows, cols, values, f"{tag} edges")
-        matrices[tag] = replace(template, values=_normalize_rows(grid, tag, template.row_ids))
+        if not carried:  # a source matrix's own cells are already checked and row-major
+            rows, cols, values = from_cells(template.shape, rows, cols, values, f"{tag} edges")
+        sums = _checked_sums(row_sums((rows, cols, values), template.shape), tag,
+                             template.row_ids)
+        matrices[tag] = TrustMatrix(template.rows, template.cols, template.row_ids,
+                                    template.col_ids, cells=_divide_cells(rows, cols, values, sums))
     report = RebuildReport(records=len(table), dropped_diagonal=sum(dropped.values()),
                            dropped_by_tag=dropped)
     return matrices, report

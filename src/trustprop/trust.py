@@ -3,10 +3,13 @@
 Each row of a trust matrix is the source entity's outgoing weights divided by
 their sum; sources with no edges keep an all-zero row rather than being
 smoothed. Reverse trust for a belongs-to block is the same normalization
-applied to the transpose, giving the child-to-parent direction. Only the
-block's nonzero cells are divided, and the trust matrix keeps them as its
-cells; each row sum is still taken over the dense row, so every quotient has
-the bits a dense divide would give it.
+applied to the transpose, giving the child-to-parent direction. Blocks and
+trust are both stored as their cells: only the block's cells are divided, and
+the trust matrix keeps the quotients as its cells. Each sum has the bits the
+dense matrix would give it: a forward row sum is numpy's pairwise sum of the
+dense row, laid out a few rows at a time (:func:`model.row_sums`), and a
+reverse row sum adds a column's cells in row order, as numpy sums the strided
+transpose (:func:`model.column_sums`).
 """
 from __future__ import annotations
 
@@ -22,26 +25,19 @@ from .model import (
     LayerId,
     MultiLayerNetwork,
     TrustMatrix,
+    column_sums,
+    row_sums,
 )
 
 
-def _row_sums(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
-    """Each row's sum of ``weights``, added in the order of ``weights``' own layout, strided
-    or not. Raises InputError on a row whose sum overflows, which would otherwise divide to a
-    row of zeros."""
-    with np.errstate(over="ignore"):
-        sums = weights.sum(axis=1)
+def _checked_sums(sums: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
+    """``sums`` itself. Raises InputError on a row whose sum overflowed, which would
+    otherwise divide to a row of zeros."""
     overflowed = np.flatnonzero(~np.isfinite(sums))
     if overflowed.size:
         raise InputError(f"{tag} trust: the weights of {row_ids[overflowed[0]]} sum past "
                          "the float range")
     return sums
-
-
-def _normalize_rows(weights: np.ndarray, tag: str, row_ids: tuple[str, ...]) -> np.ndarray:
-    """``weights`` itself, each row whose sum is positive divided by that sum in place."""
-    sums = _row_sums(weights, tag, row_ids)[:, None]
-    return np.divide(weights, sums, out=weights, where=sums > 0)
 
 
 def _divide_cells(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
@@ -62,7 +58,7 @@ def derive_trust(block: AdjacencyBlock) -> TrustMatrix:
 
     All-zero rows stay all-zero; every other row sums to 1 within 1e-9.
     """
-    sums = _row_sums(block.weights, block.tag, block.row_ids)
+    sums = _checked_sums(row_sums(block.cells, block.shape), block.tag, block.row_ids)
     return TrustMatrix(rows=block.rows, cols=block.cols, row_ids=block.row_ids,
                        col_ids=block.col_ids, cells=_divide_cells(*block.cells, sums))
 
@@ -78,8 +74,8 @@ def derive_reverse_trust(block: AdjacencyBlock) -> TrustMatrix:
         raise InputError(
             f"reverse trust needs an inter-layer block, got intra-layer {block.rows.value}"
         )
-    # summed over the strided view, as a dense transpose would be
-    sums = _row_sums(block.weights.T, block.cols.tag + block.rows.tag, block.col_ids)
+    sums = _checked_sums(column_sums(block.cells, block.shape), block.cols.tag + block.rows.tag,
+                         block.col_ids)
     rows, cols, weights = block.cells
     order = np.argsort(cols, kind="stable")
     return TrustMatrix(rows=block.cols, cols=block.rows, row_ids=block.col_ids,

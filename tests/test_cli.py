@@ -17,7 +17,8 @@ import pytest
 import trustprop
 import trustprop.cli
 import trustprop.ingest
-from trustprop import build_network, bundle, clean, derive_network_trust, parse_store
+from trustprop import (AdjacencyBlock, build_network, bundle, clean, derive_network_trust,
+                       parse_store)
 from trustprop.bundle import load_network
 from trustprop.cli import _score, load_config, main
 from trustprop.ingest import baseline_columns, ground_truth_ratings, inputs_sha256
@@ -514,6 +515,37 @@ def test_corrupt_bundle_schema_exits_two(out):
         bundle_path.write_text(corrupt)
         for command in ("trust", "score"):
             assert main([command, "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+
+
+def _set_bool(payload, key):
+    """A JSON ``true`` for the first department x doctor weight, or for a row index 1."""
+    cells = payload["inter"]["department:doctor"]
+    cells[key][cells[key].index(1) if key == "row" else 0] = True
+
+
+@pytest.mark.parametrize("key, message", [("row", "a cell index is not an integer"),
+                                          ("weight", "a cell value is not a number")])
+def test_bundle_with_a_bool_cell_exits_two(out, caplog, key, message):
+    run_pipeline(DEMO / "config.json", out, commands=("build",))
+    path = out / "network.json"
+    payload = json.loads(path.read_text())
+    _set_bool(payload, key)
+    path.write_text(json.dumps(payload))
+    with caplog.at_level("ERROR", logger="trustprop"):
+        assert main(["score", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 2
+    assert any(f"departmentxdoctor block: {message}" in record.message
+               for record in caplog.records)
+
+
+def test_the_six_commands_read_no_dense_block(out, monkeypatch):
+    """Build, load, validation, trust, scoring, stress and report work on each block's
+    cells: they run with a block's dense weights refused."""
+    def refuse(block):
+        raise AssertionError(f"{block.tag} block: its dense weights were read")
+
+    monkeypatch.setattr(AdjacencyBlock, "weights", property(refuse))
+    run_pipeline(DEMO / "config.json", out)
+    assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
 
 
 def _set_final(text, value):

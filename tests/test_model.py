@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustprop import (AdjacencyBlock, LayerId, MultiLayerNetwork, ScoreVector, TrustMatrix,
                        validate_network)
+from trustprop import model
 from trustprop.errors import InputError
-from trustprop.model import INTER_LAYER_PAIRS, LAYERS, ScoreKind, from_cells
+from trustprop.model import (INTER_LAYER_PAIRS, LAYERS, ROW_SUM_TOL, ScoreKind, cell_violations,
+                             column_sums, from_cells, nonzero_cells, row_sums)
 
 
 def test_layer_ids_and_tags():
@@ -195,14 +197,19 @@ def masked_from_cells(shape, rows, cols, values, label):
 
 def cells_outcome(build, *args):
     try:
-        matrix = build(*args)
+        cells = build(*args)
     except InputError as error:
         return str(error)
-    return matrix.shape, matrix.tobytes()
+    if build is masked_from_cells:
+        cells = nonzero_cells(cells)
+    return [(array.dtype.str, array.tobytes()) for array in cells]
 
 
 def test_from_cells_rejects_a_repeated_cell():
-    assert from_cells((2, 3), [1, 0], [2, 2], [0.5, 1.0], "b")[1, 2] == 0.5
+    # the cells come back row-major, read-only, the zero-valued one left out
+    cells = from_cells((2, 3), [1, 0, 0], [2, 2, 0], [0.5, 1.0, 0.0], "b")
+    assert [array.tolist() for array in cells] == [[0, 1], [2, 2], [1.0, 0.5]]
+    assert not any(array.flags.writeable for array in cells)
     # the same row and the same column, each on its own, repeat freely
     for rows, cols in (([0, 1, 0], [2, 0, 2]), ([1, 1], [0, 0])):
         with pytest.raises(InputError, match="^b: a cell is given more than once$"):
@@ -223,3 +230,174 @@ def test_from_cells_matches_the_dense_mask_oracle(n_rows, n_cols, past_edges, da
         cols = np.asarray(cols, dtype=float)
     args = ((n_rows, n_cols), rows, cols, values, "b")
     assert cells_outcome(from_cells, *args) == cells_outcome(masked_from_cells, *args)
+
+
+@pytest.mark.parametrize("rows, cols, values, message", [
+    ([0, True], [0, 1], [1.0, 2.0], "a cell index is not an integer inside the 2x3 matrix"),
+    ([0, 1], [False, 1], [1.0, 2.0], "a cell index is not an integer inside the 2x3 matrix"),
+    (np.array([True, False]), [0, 1], [1.0, 2.0],
+     "a cell index is not an integer inside the 2x3 matrix"),
+    ([0, 1], [0, 1], [True, 2.0], "a cell value is not a number"),
+    ([0, 1], [0, 1], [1, False], "a cell value is not a number"),
+    ([0], [0], np.array([True]), "a cell value is not a number"),
+])
+def test_from_cells_refuses_bools(rows, cols, values, message):
+    """numpy reads ``[0, True]`` as integers and ``[10.0, True]`` as floats; a JSON
+    ``true`` among a block's cells is still not a number."""
+    with pytest.raises(InputError, match=f"^b: {message}$"):
+        from_cells((2, 3), rows, cols, values, "b")
+
+
+def dense_cell_violations(label, values, row_ids, col_ids, *, square, symmetric=False,
+                          stochastic=False):
+    """The oracle: ``cell_violations`` as it was when it read the dense matrix, with one
+    n x n mask per check."""
+    def first_cell(mask):
+        hits = np.flatnonzero(mask)
+        return np.unravel_index(hits[0], mask.shape) if hits.size else None
+
+    noun = "value" if stochastic else "weight"
+
+    def cell(i, j):
+        return f"({row_ids[i]},{col_ids[j]})"
+
+    out = []
+    if (nonfinite := first_cell(~np.isfinite(values))) is not None:
+        out.append(f"{label}: non-finite {noun} {values[nonfinite]} at {cell(*nonfinite)}")
+    if (hit := first_cell(values < 0)) is not None:
+        out.append(f"{label}: negative {noun} at {cell(*hit)}")
+    if square:
+        out += [f"{label}: nonzero diagonal at {cell(i, i)}"
+                for i in np.flatnonzero(np.diagonal(values))]
+    if symmetric and (hit := first_cell(values != values.T)) is not None:
+        i, j = hit
+        out.append(f"{label}: asymmetric at {cell(i, j)}={values[i, j]} "
+                   f"vs {cell(j, i)}={values[j, i]}")
+    if stochastic:
+        if (hit := first_cell(values > 1 + ROW_SUM_TOL)) is not None:
+            out.append(f"{label}: {noun} above 1 at {cell(*hit)}")
+        out += [f"{label}: row {row_ids[i]} sums to {total}, not 0 or 1"
+                for i, total in enumerate(values.sum(axis=1).tolist())
+                if total != 0.0 and abs(total - 1.0) > ROW_SUM_TOL]
+    elif nonfinite is None:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(values.sum()):
+                for axis, name, ids in ((1, "row", row_ids), (0, "column", col_ids)):
+                    if (hit := first_cell(~np.isfinite(values.sum(axis=axis)))) is not None:
+                        out.append(f"{label}: the {noun}s in {name} {ids[hit[0]]} sum past "
+                                   "the float range")
+                        break
+    return out
+
+
+#: fractions (rows of them may sum to 1) and counts; the faults each example seeds some of:
+#: cells past 1, cells whose sums overflow (or cancel, in one order and not in another),
+#: negative, NaN and infinite cells. No -0.0, which a matrix's cells leave out.
+SOUND = st.one_of(st.just(0.0), st.integers(1, 8).flatmap(
+    lambda d: st.integers(1, d).map(lambda k: k / d)), st.sampled_from([2.0, 7.0]))
+FAULTS = (1e308, -1.0, -1e308, np.nan, np.inf, -np.inf)
+
+#: a row of 16, which numpy sums in eight interleaved partial sums, holding 1e308 at
+#: columns 0 and 8 and -1e308 at column 1; the second example below swaps columns 1 and 8
+_INTERLEAVED = np.zeros((1, 16))
+_INTERLEAVED[0, [0, 1, 8]] = 1e308, -1e308, 1e308
+
+
+@st.composite
+def faulty_matrices(draw):
+    """A matrix of sound cells and of the faults this example seeds, with zeros common;
+    a square one is first made symmetric with a zero diagonal, and then a few of its
+    cells are set on their own, on the diagonal or off it."""
+    faults = draw(st.sets(st.sampled_from(FAULTS)))
+    cells = st.one_of(SOUND, st.sampled_from(sorted(faults, key=str))) if faults else SOUND
+    square = draw(st.booleans())
+    n_rows = draw(st.integers(0, 12))
+    n_cols = n_rows if square else draw(st.integers(0, 12))
+    zeros = draw(st.floats(0.0, 0.95))
+    values = np.array(draw(st.lists(cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols)),
+                      dtype=float).reshape(n_rows, n_cols)
+    values[np.random.default_rng(draw(st.integers(0, 2**16))).random(values.shape) < zeros] = 0.0
+    if square:
+        values = np.triu(values, 1) + np.triu(values, 1).T
+        for _ in range(draw(st.integers(0, 3)) if n_rows else 0):
+            i = draw(st.integers(0, n_rows - 1))
+            j = i if draw(st.booleans()) else draw(st.integers(0, n_rows - 1))
+            values[i, j] = draw(cells)
+    return square, values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(faulty_matrices(), st.booleans())
+@example((False, np.array([[0.0, 1e308, 1e308], [1e308, -1.0, 0.5]])), False)  # row r0
+@example((False, np.array([[0.0, 1e308, 1.0], [1.0, 1e308, 0.0]])), False)  # column c1
+@example((True, np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])), False)
+@example((True, np.array([[np.nan, 1.0], [1.0, 0.0]])), False)  # NaN differs from itself
+@example((False, _INTERLEAVED), False)  # overflows densely, not in row-major order
+@example((False, _INTERLEAVED[:, [0, 8, 2, 3, 4, 5, 6, 7, 1, 9, 10, 11, 12, 13, 14, 15]]),
+         False)  # overflows in row-major order, not densely
+def test_cell_violations_match_the_dense_oracle(matrix, stochastic):
+    """The checks over a matrix's cells give the dense checks' messages, in order."""
+    square, values = matrix
+    row_ids = tuple(f"r{i}" for i in range(values.shape[0]))
+    col_ids = row_ids if square else tuple(f"c{j}" for j in range(values.shape[1]))
+    flags = dict(square=square, symmetric=square and not stochastic, stochastic=stochastic)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle's stochastic row sums
+        expected = dense_cell_violations("m", values, row_ids, col_ids, **flags)
+    assert cell_violations("m", nonzero_cells(values), row_ids, col_ids, **flags) == expected
+
+
+def test_the_checks_name_each_fault_of_a_block():
+    values = np.array([[0.0, 2.0, np.nan], [3.0, 1.0, 0.0], [0.0, -1.0, 4.0]])
+    ids = ("P1", "P2", "P3")
+    block = AdjacencyBlock(rows=LayerId.DOCTOR, cols=LayerId.DOCTOR, row_ids=ids, col_ids=ids,
+                           cells=nonzero_cells(values))
+    assert block.violations() == [
+        "doctor intra block: non-finite weight nan at (P1,P3)",
+        "doctor intra block: negative weight at (P3,P2)",
+        "doctor intra block: nonzero diagonal at (P2,P2)",
+        "doctor intra block: nonzero diagonal at (P3,P3)",
+        "doctor intra block: asymmetric at (P1,P2)=2.0 vs (P2,P1)=3.0"]
+
+
+@pytest.mark.parametrize("mirror, expected", [
+    (1.0, []),
+    (5.0, ["m: asymmetric at (p2,p65541)=1.0 vs (p65541,p2)=5.0"])])
+def test_symmetry_is_checked_past_16_bit_columns(mirror, expected):
+    """A block wider than 2**16 sorts its lower cells by their full column: read as 16-bit
+    numbers, columns 65 537 and 2 would sort as 1 and 2, the other way round."""
+    n = (1 << 16) + 10
+    ids = tuple(f"p{i}" for i in range(n))
+    pairs = [(2, 65541, 1.0, mirror), (65537, 65540, 2.0, 2.0), (0, n - 1, 3.0, 3.0)]
+    rows = [i for i, _, _, _ in pairs] + [j for _, j, _, _ in pairs]
+    cols = [j for _, j, _, _ in pairs] + [i for i, _, _, _ in pairs]
+    values = [v for _, _, v, _ in pairs] + [w for _, _, _, w in pairs]
+    cells = from_cells((n, n), rows, cols, values, "m")
+    assert cell_violations("m", cells, ids, ids, square=True, symmetric=True) == expected
+
+
+@st.composite
+def fractional_blocks(draw):
+    """Blocks up to 300 columns wide, so that numpy sums long rows pairwise in blocks
+    of 128, with fractional cells that add differently in another order."""
+    n_rows, n_cols = draw(st.integers(0, 40)), draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(1, 13, size=(n_rows, n_cols)) / rng.integers(1, 13, size=(n_rows, n_cols))
+    return values * (rng.random((n_rows, n_cols)) < draw(st.floats(0.0, 1.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(fractional_blocks(), st.sampled_from([1, 300, 1 << 16]))
+@example(np.arange(1.0, 9.0)[:, None] / 7, 1 << 16)  # one column, summed pairwise
+@example((np.arange(200) % 13 + 1.0)[None, :] / 7, 1)  # one row
+def test_sums_over_cells_hold_the_dense_sums_bits(weights, grid_cells):
+    """Forward sums over the cells are ``weights.sum(axis=1)`` and reverse sums are
+    ``weights.T.sum(axis=1)``, bit for bit, whatever the grid the forward sums use."""
+    cells = nonzero_cells(weights)
+    default = model._GRID_CELLS
+    model._GRID_CELLS = grid_cells
+    try:
+        forward = row_sums(cells, weights.shape)
+    finally:
+        model._GRID_CELLS = default
+    assert forward.tobytes() == weights.sum(axis=1).tobytes()
+    assert column_sums(cells, weights.shape).tobytes() == weights.T.sum(axis=1).tobytes()

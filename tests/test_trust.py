@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustprop import (AdjacencyBlock, LayerId, build_network, derive_network_trust,
-                       derive_reverse_trust, derive_trust)
+                       derive_reverse_trust, derive_trust, validate_network)
 from trustprop.errors import InputError
 from trustprop.model import nonzero_cells
+from trustprop.scoring import ConvergenceConfig
 from trustprop.stress import export_edge_table
 
 from test_stress import demo_scores, sparse_store
@@ -137,6 +138,27 @@ def test_scoring_a_sparse_network_builds_no_dense_trust():
     assert all(m.nonzero_count < math.prod(m.shape) / 8 for m in matrices)
     assert [m.tag for m in matrices if "values" in vars(m)] == []
     assert peak <= sum(8 * math.prod(m.shape) for m in matrices) / 4
+
+
+def traced_peak(n_doctors: int) -> int:
+    """Peak traced bytes of build, validate, derive and 20 iterations of scoring, on a
+    store where each hospital has 6 doctors and each department 3."""
+    store = sparse_store(n_doctors, n_hospitals=n_doctors // 6)
+    tracemalloc.start()
+    try:
+        network = build_network(store)
+        assert validate_network(network) == []
+        trusts = derive_network_trust(network)
+        demo_scores(network, trusts, config=ConvergenceConfig(1e-300, max_iterations=20))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_with_the_cells_not_with_n_squared():
+    """Four times the entities, with as many memberships each, is four times the cells:
+    the traced peak may grow 6x, where n x n blocks and trust would grow it 16x."""
+    assert traced_peak(4800) / traced_peak(1200) <= 6
 
 
 def test_reverse_trust_rejects_intra_blocks():
