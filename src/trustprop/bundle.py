@@ -1,6 +1,7 @@
 """File formats of every artifact the commands write and read.
 
-JSON artifacts carry a ``schema_version`` key and go through ``write_json``.
+JSON artifacts carry a ``schema_version`` key and go through ``write_json``,
+except ``trust.json``, which ``save_trust`` streams row by row in the same encoding.
 CSV artifacts are UTF-8 with LF line ends: a first-line comment
 ``# schema: <name>/<version>``, then the header, then the rows. ``write_csv``
 writes every one of them and ``read_csv`` reads them back, ``edges.csv`` from
@@ -15,6 +16,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -28,6 +30,7 @@ from .model import (
     AdjacencyBlock,
     LayerId,
     MultiLayerNetwork,
+    TrustMatrix,
     from_cells,
     validate_network,
 )
@@ -150,21 +153,47 @@ def load_network(path) -> MultiLayerNetwork:
     return network
 
 
+_compact = partial(json.dumps, separators=(",", ":"))
+
+
+def _dense_rows(matrix: TrustMatrix) -> Iterator[str]:
+    """Each row of the matrix's dense values as ``write_json`` encodes it, built from the
+    row's cells: zeros are ``0.0`` and each cell is its token from one encoder call, so
+    ``NaN`` and ``Infinity`` are the encoder's own. Rows without cells share one string."""
+    rows, cols, values = matrix.cells
+    n_rows, n_cols = matrix.shape
+    empty = "[" + ",".join(["0.0"] * n_cols) + "]"
+    tokens = _compact(values.tolist())[1:-1].split(",")
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    cols = cols.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            yield empty
+            continue
+        parts = ["[", "0.0," * cols[lo], tokens[lo]]
+        for previous, col, token in zip(cols[lo:hi], cols[lo + 1:hi], tokens[lo + 1:hi]):
+            parts += (",0.0" * (col - previous - 1), ",", token)
+        parts += (",0.0" * (n_cols - cols[hi - 1] - 1), "]")
+        yield "".join(parts)
+
+
 def save_trust(trusts: TrustNetwork, path) -> None:
-    data = {
-        "schema_version": TRUST_SCHEMA,
-        "matrices": {
-            tag: {
-                "rows": m.rows.value,
-                "cols": m.cols.value,
-                "row_ids": list(m.row_ids),
-                "col_ids": list(m.col_ids),
-                "values": m.values,
-            }
-            for tag, m in trusts.by_tag().items()
-        },
-    }
-    write_json(data, path)
+    """Write ``trust.json``: each matrix's labels and dense ``values``, byte for byte as
+    ``write_json`` encodes them (sorted keys, compact), streamed one row at a time from
+    the matrix's cells, so no dense matrix and no whole-file string is built. The cells
+    leave out zeros of either sign, so a matrix given dense values writes a -0.0 as 0.0."""
+    with _open_artifact(path) as handle:
+        handle.write('{"matrices":{')
+        for k, (tag, m) in enumerate(sorted(trusts.by_tag().items())):
+            handle.write(f'{"," if k else ""}{_compact(tag)}:{{"col_ids":{_compact(m.col_ids)},'
+                         f'"cols":{_compact(m.cols.value)},"row_ids":{_compact(m.row_ids)},'
+                         f'"rows":{_compact(m.rows.value)},"values":[')
+            for i, row in enumerate(_dense_rows(m)):
+                if i:
+                    handle.write(",")
+                handle.write(row)
+            handle.write("]}")
+        handle.write(f'}},"schema_version":{TRUST_SCHEMA}}}\n')
 
 
 def write_csv(path, schema: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

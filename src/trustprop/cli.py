@@ -239,7 +239,6 @@ def cmd_build(config: RunConfig) -> int:
 
 def cmd_trust(config: RunConfig) -> int:
     _, trusts = _load_network(config)
-    # trust.json's encoding is the command's peak, so the edge table is built after it
     bundle.save_trust(trusts, config.out_dir / "trust.json")
     table = export_edge_table(trusts.all_matrices())
     bundle.write_trust_values_csv(table, config.out_dir / "trust_values.csv")

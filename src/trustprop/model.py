@@ -376,7 +376,7 @@ class TrustMatrix(_LabelledMatrix):
 
     Trust derived from a block, or rebuilt from an edge table, is given its
     cells, and builds its dense ``values`` only when something reads it: the
-    dense product route, the saved trust bundle and the closed form.
+    dense product route and the closed form.
     """
 
     _MATRIX = "values"

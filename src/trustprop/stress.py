@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -148,10 +149,10 @@ def _tag_groups(table: EdgeTable) -> dict:
     return {tag: order[a:b] for (tag,), a, b in zip(keys, bounds[:-1], bounds[1:])}
 
 
-def _positions(ids: Sequence[str], column: np.ndarray) -> np.ndarray:
+def _positions(ids: Sequence[str], column: Sequence[str]) -> np.ndarray:
     """Index of each id of ``column`` in ``ids``, -1 where it is absent."""
     index = {name: i for i, name in enumerate(ids)}
-    return np.fromiter((index.get(name, -1) for name in column), dtype=np.intp, count=len(column))
+    return np.fromiter(map(index.get, column, repeat(-1)), dtype=np.intp, count=len(column))
 
 
 class GeneratorMethod(Enum):

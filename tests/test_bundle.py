@@ -3,15 +3,19 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trustprop
 from test_builder import random_store
-from trustprop import LayerId, build_network
+from test_stress import sparse_store
+from trustprop import LayerId, TrustMatrix, build_network, derive_network_trust
 from trustprop.builder import SimilarityMode
 from trustprop.bundle import (
     load_network,
@@ -27,8 +31,10 @@ from trustprop.bundle import (
 from trustprop.cli import eval_columns
 from trustprop.errors import InputError
 from trustprop.ingest import EntityStore, ground_truth_ratings
+from trustprop.model import INTER_LAYER_PAIRS, nonzero_cells
 from trustprop.scoring import ConvergenceConfig, ResidualConfig, generate_residual, score_network
 from trustprop.stress import export_edge_table
+from trustprop.trust import TrustNetwork
 
 
 def bundle_networks(demo_network):
@@ -81,6 +87,124 @@ def test_trust_bundle_round_trip(tmp_path, demo_trust):
         assert (tuple(stored["row_ids"]), tuple(stored["col_ids"])) == (
             matrix.row_ids, matrix.col_ids), tag
         assert np.array_equal(np.asarray(stored["values"], dtype=float), matrix.values), tag
+
+
+def dense_save_trust(trusts, path):
+    """The writer that handed every dense matrix to ``write_json``, kept as the oracle."""
+    write_json({"schema_version": 1, "matrices": {
+        tag: {"rows": m.rows.value, "cols": m.cols.value, "row_ids": list(m.row_ids),
+              "col_ids": list(m.col_ids), "values": m.values}
+        for tag, m in trusts.by_tag().items()}}, path)
+
+
+#: zeros common enough for empty rows, fractions whose reprs run to 17 digits, the extremes
+#: of the float range, and the encoder's NaN and Infinity. No -0.0: a matrix's cells leave
+#: out zeros of either sign, so a dense -0.0 is written as 0.0 (pinned in its own test).
+TRUST_VALUES = st.one_of(st.just(0.0), st.just(0.0),
+                         st.sampled_from([1.0, 1 / 3, 0.1, 5e-324, 1.7976931348623157e308,
+                                          float("nan"), float("inf")]),
+                         st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+
+
+def trust_matrix(rows, cols, values, given_cells=True, prefix=""):
+    """A trust matrix of ``values``, given its cells or its dense values."""
+    row_ids = tuple(f"{prefix}{rows.tag}{i}" for i in range(values.shape[0]))
+    col_ids = tuple(f"{prefix}{cols.tag}{j}" for j in range(values.shape[1]))
+    if given_cells:
+        return TrustMatrix(rows, cols, row_ids, col_ids, cells=nonzero_cells(values))
+    return TrustMatrix(rows, cols, row_ids, col_ids, values)
+
+
+def trust_network(make):
+    """The seven matrices ``make(rows, cols)`` gives, one per trust direction."""
+    inter = [*INTER_LAYER_PAIRS, *((cols, rows) for rows, cols in INTER_LAYER_PAIRS)]
+    return TrustNetwork(intra={layer: make(layer, layer) for layer in LayerId},
+                        inter={pair: make(*pair) for pair in inter})
+
+
+@st.composite
+def trust_networks(draw):
+    def make(rows, cols):
+        n, m = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        values = draw(st.lists(st.lists(TRUST_VALUES, min_size=m, max_size=m),
+                               min_size=n, max_size=n))
+        return trust_matrix(rows, cols, np.array(values, dtype=float).reshape(n, m),
+                            draw(st.booleans()), draw(st.sampled_from(["", "Café ", 'a "b" \\ '])))
+    return trust_network(make)
+
+
+def one_matrix(values, given_cells=True):
+    """A trust network whose seven matrices all hold ``values``."""
+    return trust_network(lambda rows, cols: trust_matrix(rows, cols, values, given_cells))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(trust_networks())
+@example(one_matrix(np.zeros((0, 4))))
+@example(one_matrix(np.zeros((3, 0)), given_cells=False))
+@example(one_matrix(np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0],
+                              [0.0, 0.30000000000000004, 0.0, 0.0]])))
+@example(one_matrix(np.array([[0.0, 1 / 3, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.1]]),
+                    given_cells=False))
+@example(one_matrix(np.array([[float("nan"), 0.0, float("inf")]])))
+def test_streamed_trust_json_holds_the_dense_encoders_bytes(tmp_path_factory, trusts):
+    """``save_trust`` builds each row from the matrix's cells, and its file is byte for
+    byte the one ``write_json`` gives the dense matrices: empty rows, 0xk and kx0 shapes,
+    cells in the first and last column, 17-digit reprs, NaN, Infinity and non-ASCII ids."""
+    folder = tmp_path_factory.mktemp("trust")
+    save_trust(trusts, folder / "streamed.json")
+    # the dense values are built here, for the oracle, only after the writer ran
+    dense_save_trust(trusts, folder / "dense.json")
+    assert (folder / "streamed.json").read_bytes() == (folder / "dense.json").read_bytes()
+
+
+def test_a_dense_negative_zero_is_written_as_zero(tmp_path):
+    """The one value whose bytes differ from the dense encoder's: a matrix given dense
+    values keeps a -0.0 out of its cells, so ``save_trust`` writes it as 0.0."""
+    values = np.array([[-0.0, 0.5], [0.5, -0.0]])
+    save_trust(one_matrix(values, given_cells=False), tmp_path / "streamed.json")
+    dense_save_trust(one_matrix(np.abs(values), given_cells=False), tmp_path / "zero.json")
+    dense_save_trust(one_matrix(values, given_cells=False), tmp_path / "signed.json")
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
+    assert b"-0.0" in (tmp_path / "signed.json").read_bytes()
+    assert b"-0.0" not in (tmp_path / "streamed.json").read_bytes()
+
+
+def trust_json_peak(n_doctors, path):
+    """Traced peak bytes of ``save_trust`` on a store where each hospital has 6 doctors."""
+    trusts = derive_network_trust(build_network(sparse_store(n_doctors, n_doctors // 6)))
+    tracemalloc.start()
+    try:
+        save_trust(trusts, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        path.unlink(missing_ok=True)
+
+
+def test_trust_json_memory_grows_with_the_cells(tmp_path):
+    """Four times the entities is four times the cells and the row width: the writer's
+    peak may grow 6x, where encoding the dense matrices grows it 16x."""
+    path = tmp_path / "trust.json"
+    assert trust_json_peak(4800, path) / trust_json_peak(1200, path) <= 6
+
+
+def test_a_failed_trust_write_leaves_the_previous_file(tmp_path, demo_trust, monkeypatch):
+    path = tmp_path / "trust.json"
+    save_trust(derive_network_trust(build_network(sparse_store(12, 2))), path)
+    before = path.read_bytes()
+
+    def cells(matrix):
+        # the sixth matrix in tag order fails, after five have been written
+        if matrix.tag == "p":
+            raise OSError(28, "No space left on device")
+        return vars(matrix)["cells"]
+
+    monkeypatch.setattr(TrustMatrix, "cells", property(cells))
+    with pytest.raises(OSError, match="No space left"):
+        save_trust(demo_trust, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unknown_schema_version_rejected(tmp_path, demo_network):

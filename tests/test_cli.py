@@ -17,8 +17,8 @@ import pytest
 import trustprop
 import trustprop.cli
 import trustprop.ingest
-from trustprop import (AdjacencyBlock, build_network, bundle, clean, derive_network_trust,
-                       parse_store)
+from trustprop import (AdjacencyBlock, TrustMatrix, build_network, bundle, clean,
+                       derive_network_trust, parse_store)
 from trustprop.bundle import load_network
 from trustprop.cli import _score, load_config, main
 from trustprop.ingest import baseline_columns, ground_truth_ratings, inputs_sha256
@@ -546,6 +546,18 @@ def test_the_six_commands_read_no_dense_block(out, monkeypatch):
     monkeypatch.setattr(AdjacencyBlock, "weights", property(refuse))
     run_pipeline(DEMO / "config.json", out)
     assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
+
+
+def test_build_trust_and_report_read_no_dense_trust(out, monkeypatch):
+    """trust.json is written row by row from each trust matrix's cells: build, trust and
+    report run with a trust matrix's dense values refused."""
+    def refuse(matrix):
+        raise AssertionError(f"{matrix.tag} trust: its dense values were read")
+
+    monkeypatch.setattr(TrustMatrix, "values", property(refuse))
+    run_pipeline(DEMO / "config.json", out, commands=("build", "trust"))
+    assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
+    assert (out / "trust.json").exists()
 
 
 def _set_final(text, value):

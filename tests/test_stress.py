@@ -338,6 +338,22 @@ def test_rebuild_rejects_unknown_ids(demo_trust):
         rebuild_trust(edges(("dh", "D1", "H9", 0.5)), shapes)
 
 
+@pytest.mark.parametrize("kind", ["unicode", "object", "tuple"])
+def test_positions_find_each_id_and_mark_absent_ones(kind):
+    """Each name's index among the ids, -1 for a name that is not one, from a numpy
+    string column, an object column like an edge table's, or a tuple of ids."""
+    ids = ("P01", "P02", "Café", "P10")
+    names = ["P10", "P01", "P99", "Café", "", "P01", "p01"]
+    column = {"unicode": np.array(names), "object": np.array(names, dtype=object),
+              "tuple": tuple(names)}[kind]
+    # the lookup it replaces, one numpy scalar at a time, kept as the oracle
+    expected = [dict(zip(ids, range(len(ids)))).get(name, -1) for name in np.asarray(column)]
+    positions = stress._positions(ids, column)
+    assert positions.dtype == np.intp
+    assert positions.tolist() == expected == [3, 0, -1, 2, -1, 0, -1]
+    assert stress._positions(ids, np.array([], dtype=object)).tolist() == []
+
+
 def test_rebuild_rejects_repeated_cell(demo_trust):
     table = edges(("dp", "D1", "P1", 0.5), ("dp", "D1", "P2", 0.2), ("dp", "D1", "P1", 0.3))
     with pytest.raises(InputError, match="more than once"):
