@@ -147,11 +147,27 @@ def precision_at_k(predicted: Mapping[str, float], truth: Mapping[str, float],
             f"predicted and truth must score the same ids "
             f"(only-predicted: {only_pred}, only-truth: {only_true})"
         )
-    overlap = len(set(_top_k(pred, k)) & set(_top_k(true, k)))
+    return _overlap_scores(len(set(_top_k(pred, k)) & set(_top_k(true, k))), k)
+
+
+def _overlap_scores(overlap: int, k: int) -> tuple[float, float, float]:
     precision = overlap / k
     recall = overlap / k
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
+
+
+def _ranking(values: np.ndarray) -> np.ndarray:
+    """Positions of ``values`` from the highest down, ties by ascending position: for
+    finite values aligned with sorted ids, the first k are where :func:`_top_k`'s ids are."""
+    return np.argsort(-values, kind="stable")
+
+
+def _ranked_overlap(order_s: np.ndarray, order_t: np.ndarray, k: int) -> tuple[float, float, float]:
+    """:func:`precision_at_k` of two rankings over the same positions."""
+    in_truth = np.zeros(len(order_t), dtype=bool)
+    in_truth[order_t[:k]] = True
+    return _overlap_scores(int(np.count_nonzero(in_truth[order_s[:k]])), k)
 
 
 def rmse_mae(predicted, truth) -> tuple[float, float]:
@@ -205,6 +221,16 @@ def _clean_corr(value: float) -> float | None:
     return None if math.isnan(value) else value
 
 
+def _aligned(scores: Mapping[str, float],
+             truth: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and the truth of the ids both sides hold, in sorted id order."""
+    scores = _scored_dict(scores)
+    truth = _scored_dict(truth)
+    ids = sorted(set(scores) & set(truth))
+    return (np.array([scores[i] for i in ids], dtype=float),
+            np.array([truth[i] for i in ids], dtype=float))
+
+
 def build_report(layer: str, baseline: str, scenario: str,
                  scores: Mapping[str, float], truth: Mapping[str, float],
                  k: int | None = None) -> MetricsReport:
@@ -212,29 +238,24 @@ def build_report(layer: str, baseline: str, scenario: str,
 
     Entities missing from either side are dropped (an unrated entity cannot
     anchor a comparison). Correlations on fewer than two shared entities, or on
-    constant vectors, are reported as absent rather than zero.
+    constant vectors, are reported as absent rather than zero. The top-k sets
+    are ranked over the aligned arrays.
     """
-    scores = _scored_dict(scores)
-    truth = _scored_dict(truth)
-    ids = sorted(set(scores) & set(truth))
-    s = np.array([scores[i] for i in ids], dtype=float)
-    t = np.array([truth[i] for i in ids], dtype=float)
-
+    s, t = _aligned(scores, truth)
+    n = len(s)
     rho = tau = None
-    if len(ids) >= 2:
+    if n >= 2:
         rho = _clean_corr(spearman(s, t))
         tau = _clean_corr(kendall(s, t))
     precision = recall = f1 = None
-    if k is not None and 1 <= k <= len(ids):
-        sub_s = {i: scores[i] for i in ids}
-        sub_t = {i: truth[i] for i in ids}
-        precision, recall, f1 = precision_at_k(sub_s, sub_t, k)
+    if k is not None and 1 <= k <= n:
+        precision, recall, f1 = _ranked_overlap(_ranking(s), _ranking(t), k)
     err_rmse = err_mae = None
-    if ids:
+    if n:
         normalized = normalize_scores_for_error(s, t)
         err_rmse, err_mae = rmse_mae(normalized, t)
     return MetricsReport(layer=layer, baseline=baseline, scenario=scenario, k=k,
-                         sample_size=len(ids), precision=precision, recall=recall, f1=f1,
+                         sample_size=n, precision=precision, recall=recall, f1=f1,
                          spearman=rho, kendall=tau, rmse=err_rmse, mae=err_mae)
 
 
@@ -255,8 +276,9 @@ def layer_reports(layer: str, baseline: str, scenario: str,
             log.warning("%s layer: skipping k=%d, only %d rated entities", layer, k, len(shared))
     # correlations and errors do not depend on k: compute them once, then add each k's top-k
     reports = [build_report(layer, baseline, scenario, scores, truth, usable[0] if usable else None)]
-    pred, true = ({i: column[i] for i in shared} for column in (scores, truth))
-    for k in usable[1:]:
-        precision, recall, f1 = precision_at_k(pred, true, k)
-        reports.append(replace(reports[0], k=k, precision=precision, recall=recall, f1=f1))
+    if len(usable) > 1:
+        rankings = [_ranking(column) for column in _aligned(scores, truth)]
+        for k in usable[1:]:
+            precision, recall, f1 = _ranked_overlap(*rankings, k)
+            reports.append(replace(reports[0], k=k, precision=precision, recall=recall, f1=f1))
     return reports

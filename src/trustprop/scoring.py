@@ -12,6 +12,11 @@ depend on the BLAS thread count. A sparse T is multiplied over the nonzero cells
 that the ``TrustMatrix`` stores, so a step costs its cells, not n², and its dense
 values are never built; a matrix at least an eighth full is multiplied over its
 dense values, built from its cells on the first product, in the same order.
+
+Convergence is checked a block of steps at a time: a block's iterates are kept,
+and one reduction gives every step's delta, each with the bits the step-by-step
+delta had. Every delta up to the first one at or below epsilon is kept, and the
+scores are that step's. A constant residual draws nothing.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -141,10 +146,11 @@ def generate_residual(config: ResidualConfig, n: int, layer: LayerId,
     ids = entity_ids if entity_ids is not None else tuple(f"{layer.tag}{i}" for i in range(n))
     if len(ids) != n:
         raise InputError(f"{len(ids)} entity ids for residual of length {n}")
-    rng = np.random.default_rng(config.seed)
     if config.distribution is ResidualKind.CONSTANT:
-        values = np.full(n, config.value)
-    elif config.distribution is ResidualKind.UNIFORM:
+        return ScoreVector(layer=layer, kind=ScoreKind.RESIDUAL, entity_ids=ids,
+                           values=np.full(n, config.value))
+    rng = np.random.default_rng(config.seed)
+    if config.distribution is ResidualKind.UNIFORM:
         values = rng.uniform(config.low, config.high, n)
     elif config.distribution is ResidualKind.NORMAL:
         values = np.clip(rng.normal(config.mean, config.stdev, n), 0.0, 1.0)
@@ -175,10 +181,14 @@ class ConvergenceConfig:
         if not isinstance(self.norm, DeltaNorm):
             raise ConfigError(f"unknown delta norm {self.norm!r}")
 
-    def delta(self, diff: np.ndarray) -> float:
+    def delta(self, diff: np.ndarray) -> np.ndarray | float:
+        """The norm of ``diff``, or of each row of a 2-D ``diff``. A row of a C-contiguous
+        array is summed in numpy's pairwise order, as a 1-D array is, so each row's norm
+        has the bits of the row's own."""
+        absolute = np.abs(diff)
         if self.norm is DeltaNorm.MAX_ABS:
-            return float(np.abs(diff).max()) if diff.size else 0.0
-        return float(np.abs(diff).sum())
+            return np.maximum.reduce(absolute, axis=-1, initial=0.0)
+        return np.add.reduce(absolute, axis=-1)
 
 
 def _check_damping(damping: float) -> float:
@@ -193,16 +203,24 @@ def _check_damping(damping: float) -> float:
 _DENSE_SHARE = 1 / 8
 
 
-def _row_order_product(vector: np.ndarray, matrix: TrustMatrix) -> np.ndarray:
-    """``vector @ matrix.values``, summed as ``acc = acc + vector[i] * T[i]`` over
-    the rows in order. Both routes give the same bits: bincount adds each column's
-    cells in the order of the row-major cell list."""
-    if matrix.nonzero_count >= _DENSE_SHARE * math.prod(matrix.shape):
-        return np.einsum("i,ij->j", vector, matrix.values)
+def _is_dense(matrix: TrustMatrix) -> bool:
+    """Whether a product with the matrix runs over its dense values."""
+    return matrix.nonzero_count >= _DENSE_SHARE * math.prod(matrix.shape)
+
+
+def _row_order_product(matrix: TrustMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The product ``vector -> vector @ matrix.values``, summed as
+    ``acc = acc + vector[i] * T[i]`` over the rows in order, with its route, cells
+    and shape read once. Both routes give the same bits: bincount adds each
+    column's cells in the order of the row-major cell list."""
+    n_cols = matrix.shape[1]
+    if _is_dense(matrix):
+        values = matrix.values
+        return lambda vector: np.einsum("i,ij->j", vector, values)
     rows, cols, values = matrix.cells
-    # with no cells, bincount returns int64 zeros
-    return np.bincount(cols, weights=vector[rows] * values,
-                       minlength=matrix.shape[1]).astype(float, copy=False)
+    if not len(values):  # bincount over no weights would give int64 zeros
+        return lambda vector: np.zeros(n_cols)
+    return lambda vector: np.bincount(cols, weights=vector[rows] * values, minlength=n_cols)
 
 
 def initial_score(own_residual: ScoreVector, feed_residual: ScoreVector,
@@ -221,7 +239,7 @@ def initial_score(own_residual: ScoreVector, feed_residual: ScoreVector,
             f"feed trust {feed_trust.tag} is not indexed by the {feed_residual.layer.value} and "
             f"{own_residual.layer.value} residuals' entity ids, in their order"
         )
-    values = own_residual.values + _row_order_product(feed_residual.values, feed_trust)
+    values = own_residual.values + _row_order_product(feed_trust)(feed_residual.values)
     return ScoreVector(layer=own_residual.layer, kind=ScoreKind.INITIAL,
                        entity_ids=own_residual.entity_ids, values=values)
 
@@ -246,6 +264,24 @@ def _check_square(s0: ScoreVector, trust: TrustMatrix) -> None:
                          f"entity ids, in their order")
 
 
+#: a block keeps at most this many scores in its iterates, and as many in their
+#: differences, unless one step alone holds more: a few hundred kB at most
+_BLOCK_SCORES = 2 ** 14
+#: from this many cells a step costs its cells more than its fixed cost, and the
+#: steps that a block runs past the converged one cost more than the block saves:
+#: uncapped blocks slowed an 8 410-cell matrix that converges in 19 steps from
+#: 45 to 68 us a step
+_BLOCK_CELLS = 2 ** 12
+
+
+def _block_cap(trust: TrustMatrix) -> int:
+    """The longest block of steps for this matrix: one step on the dense route or
+    from ``_BLOCK_CELLS`` cells, else as many as ``_BLOCK_SCORES`` scores hold."""
+    if _is_dense(trust) or trust.nonzero_count >= _BLOCK_CELLS:
+        return 1
+    return max(1, _BLOCK_SCORES // trust.shape[0])
+
+
 def propagate(s0: ScoreVector, trust: TrustMatrix, config: ConvergenceConfig = ConvergenceConfig(),
               damping: float = 1.0) -> PropagationResult:
     """Iterate the score through the trust matrix until it settles.
@@ -253,32 +289,49 @@ def propagate(s0: ScoreVector, trust: TrustMatrix, config: ConvergenceConfig = C
     Returns the final scores, the number of iterations performed, whether the
     delta dropped to epsilon or below, and the per-iteration deltas. With
     max_iterations = 0 the initial scores come back unchanged and unconverged.
+
+    The steps run in blocks of 1, 2, 4, ... steps, up to :func:`_block_cap`.
+    Each step makes the product and the difference that a step-by-step loop
+    makes; a block keeps its iterates and its differences and takes all its
+    deltas with one reduction, so the iterations, deltas and scores are those
+    of checking each step in turn, bit for bit. A block's iterates,
+    differences and norms' scratch hold ``_BLOCK_SCORES`` scores each at most,
+    or one step's n when a step alone holds more.
     """
     _check_square(s0, trust)
     damping = _check_damping(damping)
-    if len(s0) == 0:
+    n = len(s0)
+    if n == 0:
         return PropagationResult(
             scores=ScoreVector(layer=s0.layer, kind=ScoreKind.SOCIAL,
                                entity_ids=s0.entity_ids, values=s0.values),
             iterations=0, converged=True)
+    product = _row_order_product(trust)
+    cap = min(_block_cap(trust), config.max_iterations)
+    diffs = np.empty((cap, n))
     current = s0.values.astype(float)
     deltas: list[float] = []
     converged = False
-    iterations = 0
-    for _ in range(config.max_iterations):
-        nxt = _row_order_product(current, trust)
-        if damping != 1.0:
-            nxt = damping * nxt + (1.0 - damping) * current
-        delta = config.delta(nxt - current)
-        deltas.append(delta)
-        current = nxt
-        iterations += 1
-        if delta <= config.epsilon:
-            converged = True
-            break
+    length = 1
+    while not converged and len(deltas) < config.max_iterations:
+        steps = min(length, config.max_iterations - len(deltas))
+        iterates = []
+        for j in range(steps):
+            nxt = product(current)
+            if damping != 1.0:
+                nxt = damping * nxt + (1.0 - damping) * current
+            np.subtract(nxt, current, diffs[j])
+            iterates.append(current := nxt)
+        block = config.delta(diffs[:steps]).tolist()
+        for j, delta in enumerate(block):
+            if delta <= config.epsilon:
+                block, current, converged = block[:j + 1], iterates[j], True
+                break
+        deltas += block
+        length = min(2 * length, cap)
     scores = ScoreVector(layer=s0.layer, kind=ScoreKind.SOCIAL,
                          entity_ids=s0.entity_ids, values=np.maximum(current, 0.0))
-    return PropagationResult(scores=scores, iterations=iterations,
+    return PropagationResult(scores=scores, iterations=len(deltas),
                              converged=converged, deltas=tuple(deltas))
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop import build_report, kendall, precision_at_k, rmse_mae, spearman, top_k_ids
 from trustprop import metrics
@@ -187,6 +189,31 @@ def test_precision_at_k_brute_force():
         overlap = len(set(top[0]) & set(top[1]))
         assert p == r == overlap / k
         assert f1 == pytest.approx(p if p == 0 else 2 * p * r / (p + r))
+
+
+scores_by_id = st.dictionaries(
+    st.text(alphabet="abcXY", min_size=1, max_size=3),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(-1e6, 1e6),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scores_by_id, scores_by_id, st.data())
+def test_ranking_aligned_arrays_equals_top_k(scores, truth, data):
+    """On finite scores, a stable argsort of the values aligned with the sorted ids
+    gives _top_k's ids in its order, ties broken by ascending id, and build_report's
+    top-k metrics are precision_at_k's over the shared ids."""
+    ids = sorted(scores)
+    k = data.draw(st.integers(1, len(ids)))
+    ranking = metrics._ranking(np.array([scores[i] for i in ids]))
+    assert [ids[p] for p in ranking[:k].tolist()] == metrics._top_k(scores, k)
+
+    shared = set(scores) & set(truth)
+    if shared:
+        k = data.draw(st.integers(1, len(shared)))
+        report = build_report("doctor", "votes", "", scores, truth, k)
+        pred, true = ({i: column[i] for i in shared} for column in (scores, truth))
+        assert (report.precision, report.recall, report.f1) == precision_at_k(pred, true, k)
 
 
 def test_precision_requires_matching_universe():

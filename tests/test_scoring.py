@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_builder import random_store
 from trustprop import (
@@ -21,6 +27,7 @@ from trustprop import (
 )
 from trustprop.builder import SimilarityMode
 from trustprop.errors import ConfigError, InputError
+from trustprop import scoring
 from trustprop.model import ScoreKind
 from trustprop.scoring import _row_order_product
 
@@ -296,7 +303,7 @@ def test_products_without_cells_are_float_zeros(shape):
     trust = TrustMatrix(rows=D, cols=H, row_ids=tuple(f"d{i}" for i in range(n_rows)),
                         col_ids=tuple(f"h{i}" for i in range(n_cols)), values=np.zeros(shape))
     feed = scores_from(np.full(n_rows, 0.5), layer=D, kind=ScoreKind.RESIDUAL)
-    product = _row_order_product(feed.values, trust)
+    product = _row_order_product(trust)(feed.values)
     assert product.dtype == np.float64 and np.array_equal(product, np.zeros(n_cols))
     own = scores_from(np.full(n_cols, 0.25), kind=ScoreKind.RESIDUAL)
     assert np.array_equal(initial_score(own, feed, trust).values, own.values)
@@ -305,6 +312,192 @@ def test_products_without_cells_are_float_zeros(shape):
                          ConvergenceConfig(max_iterations=1))
         assert step.scores.values.dtype == np.float64
         assert np.array_equal(step.scores.values, np.zeros(n_cols))
+
+
+# --- blocked propagation against the step-by-step loop ---
+
+def step_by_step(s0, trust, config, damping=1.0):
+    """The propagation loop before blocks, the oracle of :func:`propagate`: one
+    product, one delta and one check per step. Returns the scores, the deltas and
+    whether the last delta was at most epsilon."""
+    product = _row_order_product(trust)
+    current = s0.values.astype(float)
+    deltas = []
+    for _ in range(config.max_iterations):
+        nxt = product(current)
+        if damping != 1.0:
+            nxt = damping * nxt + (1.0 - damping) * current
+        diff = np.abs(nxt - current)
+        delta = float(diff.max()) if config.norm is DeltaNorm.MAX_ABS else float(diff.sum())
+        deltas.append(delta)
+        current = nxt
+        if delta <= config.epsilon:
+            return np.maximum(current, 0.0), deltas, True
+    return np.maximum(current, 0.0), deltas, False
+
+
+def assert_matches_step_by_step(s0, trust, config, damping=1.0):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in an s0 holding inf
+        scores, deltas, converged = step_by_step(s0, trust, config, damping)
+        result = propagate(s0, trust, config, damping)
+    assert result.scores.values.tobytes() == scores.tobytes()
+    assert np.array(result.deltas).tobytes() == np.array(deltas).tobytes()
+    assert (result.iterations, result.converged) == (len(deltas), converged)
+    return deltas
+
+
+def two_cycles(n, cycles=None):
+    """A period-2 matrix: node 2i trusts node 2i + 1 and back, for the first
+    ``cycles`` pairs (all of them by default); the other nodes have no cells."""
+    cycles = n // 2 if cycles is None else cycles
+    rows = np.arange(2 * cycles)
+    ids = tuple(f"h{i}" for i in range(n))
+    return TrustMatrix(rows=H, cols=H, row_ids=ids, col_ids=ids,
+                       cells=(rows, rows ^ 1, np.ones(2 * cycles)))
+
+
+def block_ends(cap, total):
+    """The step counts at which propagate ends a block: after 1, 2, 4, ... steps,
+    each block at most ``cap`` long."""
+    ends, length = [], 1
+    while not ends or ends[-1] < total:
+        ends.append(min(ends[-1] + length if ends else length, total))
+        length = min(2 * length, cap)
+    return ends
+
+
+@st.composite
+def propagation_cases(draw):
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["stochastic", "two_cycles", "no_cells"]))
+    if kind == "stochastic":
+        values = random_stochastic(rng, n, n, draw(st.sampled_from([0.04, 0.1, 0.3, 1.0])))
+        trust = trust_from(values)
+    elif kind == "two_cycles":
+        trust = two_cycles(n, draw(st.integers(0, n // 2)))
+    else:
+        trust = trust_from(np.zeros((n, n)))
+    s0 = rng.random(n) * draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    if draw(st.booleans()):
+        s0[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    damping = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 0.99))
+    norm = draw(st.sampled_from(list(DeltaNorm)))
+    max_iterations = draw(st.integers(0, 70) | st.just(1000))
+    # blocks as long as the default allows, or of at most 1, 2, 3 or 5 steps
+    block_scores = draw(st.sampled_from([scoring._BLOCK_SCORES, n, 2 * n, 3 * n, 5 * n]))
+    return trust, scores_from(s0), damping, norm, max_iterations, block_scores, draw(st.data())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(propagation_cases())
+def test_blocked_propagation_matches_step_by_step_bit_for_bit(case):
+    """Scores, deltas, iterations and convergence equal the step-by-step loop's,
+    on both product routes, with and without damping, under both norms, with
+    epsilon at each of the oracle's deltas, so that the first delta at or below it
+    falls at every offset of a block."""
+    trust, s0, damping, norm, max_iterations, block_scores, data = case
+    with mock.patch.object(scoring, "_BLOCK_SCORES", block_scores):
+        never = ConvergenceConfig(epsilon=5e-324, max_iterations=max_iterations, norm=norm)
+        deltas = assert_matches_step_by_step(s0, trust, never, damping)
+        reachable = [d for d in deltas if 0 < d < math.inf]
+        if reachable:
+            epsilon = data.draw(st.sampled_from(reachable))
+            config = ConvergenceConfig(epsilon=epsilon, max_iterations=max_iterations, norm=norm)
+            assert_matches_step_by_step(s0, trust, config, damping)
+
+
+@pytest.mark.parametrize("block_scores", [20, 60, scoring._BLOCK_SCORES])
+@pytest.mark.parametrize("norm", list(DeltaNorm))
+def test_blocked_propagation_matches_at_every_block_end(block_scores, norm):
+    """Caps at each block end and one step either side of it, and a convergence
+    at each of the first 70 steps, on a period-2 matrix (which never converges)
+    and on a sparse stochastic one: blocks of at most 1, 3 and 819 steps on 20
+    nodes."""
+    n = 20
+    rng = np.random.default_rng(block_scores)
+    s0 = scores_from(rng.random(n))
+    settling = trust_from(random_stochastic(rng, n, n, 0.1))
+    assert not scoring._is_dense(settling) and not scoring._is_dense(two_cycles(n))
+    with mock.patch.object(scoring, "_BLOCK_SCORES", block_scores):
+        cap = scoring._block_cap(settling)
+        assert cap == max(1, block_scores // n)
+        caps = sorted({c + d for c in block_ends(cap, 1000) for d in (-1, 0, 1)} - {-1})
+        for max_iterations in caps[:40] + [1000]:
+            for trust in (two_cycles(n), settling):
+                config = ConvergenceConfig(epsilon=5e-324, max_iterations=max_iterations,
+                                           norm=norm)
+                assert_matches_step_by_step(s0, trust, config)
+        deltas = step_by_step(s0, settling, ConvergenceConfig(epsilon=1e-15, norm=norm))[1]
+        for epsilon in deltas[:70]:
+            assert_matches_step_by_step(s0, settling, ConvergenceConfig(epsilon=epsilon, norm=norm))
+
+
+@pytest.mark.parametrize("values, s0", [
+    ([[0.0]], [0.3]), ([[1.0]], [0.3]), ([[1.0]], [np.inf]), ([[0.0]], [np.nan]),
+    (np.zeros((5, 5)), [0.1, 0.2, np.nan, 0.4, 0.5]),
+    (np.zeros((5, 5)), [0.1, 0.2, 0.3, 0.4, np.inf]),
+])
+@pytest.mark.parametrize("norm", list(DeltaNorm))
+def test_blocked_propagation_matches_on_one_node_and_without_cells(values, s0, norm):
+    """One node on either route, and matrices with no cells, with NaN and inf scores."""
+    for max_iterations in (0, 1, 2, 3, 1000):
+        for damping in (1.0, 0.5):
+            config = ConvergenceConfig(max_iterations=max_iterations, norm=norm)
+            assert_matches_step_by_step(scores_from(s0), trust_from(values), config, damping)
+
+
+def test_block_cap_is_one_step_where_a_step_costs_its_cells():
+    """One step per block on the dense route and from _BLOCK_CELLS cells; otherwise
+    as many steps as _BLOCK_SCORES scores hold, and at least one."""
+    assert scoring._block_cap(trust_from([[0.0, 1.0], [1.0, 0.0]])) == 1
+    assert scoring._block_cap(two_cycles(300)) == scoring._BLOCK_SCORES // 300
+    assert scoring._block_cap(two_cycles(scoring._BLOCK_SCORES + 2, 8)) == 1
+    assert scoring._block_cap(two_cycles(20_000, scoring._BLOCK_CELLS // 2)) == 1
+
+
+def test_a_thousand_steps_on_twenty_thousand_nodes_stay_in_the_block_bound():
+    """The tracemalloc peak of 1 000 unconverged steps on a 20 000-node period-2
+    matrix stays within the documented bound: a block's iterates, differences and
+    norms hold at most _BLOCK_SCORES scores each, or one step's n, and a step adds
+    its product's temporaries (two arrays of its cells and the n-long result).
+    Blocks of 64 steps would hold 30 MB."""
+    n = 20_000
+    trust = two_cycles(n, 1_000)
+    cells = trust.nonzero_count
+    s0 = scores_from(np.random.default_rng(5).random(n))
+    tracemalloc.start()
+    try:
+        result = propagate(s0, trust, ConvergenceConfig(epsilon=1e-9, max_iterations=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.converged and result.iterations == 1000
+    block = 3 * max(scoring._BLOCK_SCORES, n)
+    step = 2 * cells + n
+    # s0's float copy, the previous and the next iterate, the clipped scores; and
+    # the 1 000 deltas as floats in a list and a tuple
+    assert peak <= 8 * (block + step + 4 * n) + 1000 * (24 + 8 + 8) + 4096, peak
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 8192, 8193, 20_000])
+def test_row_reductions_equal_one_dimensional_ones_bit_for_bit(n):
+    """A block's deltas rely on numpy reducing each row of a C-contiguous (k, n)
+    array as it reduces the row alone: max is exact, and the sum of a row is the
+    same pairwise sum as the 1-D sum, not a column-wise accumulation."""
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 3, 17, 64) if n <= 8192 else (1, 2, 3):
+        block = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8, 8, (k, n))
+        assert block.flags.c_contiguous
+        for axis_reduce, one_d in ((np.ndarray.sum, lambda row: row.sum()),
+                                   (np.ndarray.max, lambda row: row.max())):
+            rows = axis_reduce(block, axis=1)
+            assert rows.tobytes() == np.array([one_d(row) for row in block]).tobytes()
+        absolute = np.abs(block)
+        assert ConvergenceConfig(norm=DeltaNorm.MAX_ABS).delta(block).tolist() == [
+            float(row.max()) for row in absolute]
+        assert ConvergenceConfig(norm=DeltaNorm.L1).delta(block).tolist() == [
+            float(row.sum()) for row in absolute]
 
 
 # --- whole-network scoring ---
