@@ -4,11 +4,11 @@ Correlations use average ranks for ties (Spearman) and the tie-corrected
 tau-b (Kendall). Top-k sets break score ties by ascending entity id so results
 are reproducible. Error metrics compare against ratings after min-max rescaling
 the scores onto the rating range, since propagation scores have no scale of
-their own.
+their own. Every score and rating must be finite: any other is an InputError
+that says where it is.
 """
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
@@ -22,10 +22,15 @@ log = logging.getLogger(__name__)
 
 
 def _paired_arrays(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two 1-dimensional float arrays of one length. Raises InputError otherwise, and on
+    a value that is not finite, naming its position."""
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.shape != xb.shape or xa.ndim != 1:
         raise InputError(f"{what}: got shapes {xa.shape} and {xb.shape}")
+    for x in (xa, xb):
+        if (bad := np.flatnonzero(~np.isfinite(x))).size:
+            raise InputError(f"{what}: non-finite value {x[bad[0]]} at position {bad[0]}")
     return xa, xb
 
 
@@ -90,8 +95,7 @@ def _inversions(x: np.ndarray) -> int:
 def kendall(a, b) -> float:
     """Kendall rank correlation, tie-corrected (tau-b).
 
-    Returns nan when either side holds a NaN or when every pair is tied on
-    one side; equal infinities count as a tie. Knight's method (1966) takes
+    Returns nan when every pair is tied on one side. Knight's method (1966) takes
     O(n log n) time: sort the pairs by (a, b), and the discordant pairs are
     the inversions left in b.
     """
@@ -99,8 +103,6 @@ def kendall(a, b) -> float:
     n = len(xa)
     if n < 2:
         raise InputError(f"kendall needs at least 2 samples, got {n}")
-    if np.isnan(xa).any() or np.isnan(xb).any():
-        return math.nan
     ra, rb = (np.unique(x, return_inverse=True)[1] for x in (xa, xb))
     ties_a, ties_b, ties_both = _tied_pairs(ra), _tied_pairs(rb), _tied_pairs(ra * n + rb)
     discordant = _inversions(rb[np.lexsort((rb, ra))])
@@ -114,21 +116,29 @@ def kendall(a, b) -> float:
 
 
 def _scored_dict(scored: Mapping) -> dict[str, float]:
-    return {str(k): float(v) for k, v in scored.items()}
+    """``scored`` with str ids and float scores. Raises InputError on a score that is not
+    finite, naming the first such id."""
+    scores = {str(k): float(v) for k, v in scored.items()}
+    finite = np.isfinite(np.fromiter(scores.values(), dtype=float, count=len(scores)))
+    if not finite.all():
+        bad = list(scores)[int(np.argmin(finite))]
+        raise InputError(f"non-finite score {scores[bad]} for {bad!r}")
+    return scores
 
 
-def _top_k(scores: dict[str, float], k: int) -> list[str]:
+def _check_k(k: int, n: int) -> None:
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
-    if k > len(scores):
-        raise InputError(f"k={k} exceeds the {len(scores)} scored items")
-    # defined as sorted(...)[:k], without sorting the ids past the k-th
-    return heapq.nsmallest(k, scores, key=lambda i: (-scores[i], i))
+    if k > n:
+        raise InputError(f"k={k} exceeds the {n} scored items")
 
 
 def top_k_ids(scored: Mapping[str, float], k: int) -> list[str]:
     """Ids of the k highest scores, ties broken by ascending id."""
-    return _top_k(_scored_dict(scored), k)
+    scores = _scored_dict(scored)
+    _check_k(k, len(scores))
+    ids = sorted(scores)
+    return [ids[p] for p in _ranking(np.array([scores[i] for i in ids]))[:k].tolist()]
 
 
 def precision_at_k(predicted: Mapping[str, float], truth: Mapping[str, float],
@@ -147,7 +157,8 @@ def precision_at_k(predicted: Mapping[str, float], truth: Mapping[str, float],
             f"predicted and truth must score the same ids "
             f"(only-predicted: {only_pred}, only-truth: {only_true})"
         )
-    return _overlap_scores(len(set(_top_k(pred, k)) & set(_top_k(true, k))), k)
+    _check_k(k, len(pred))
+    return _ranked_overlap(*(_ranking(column) for column in _aligned(pred, true)), k)
 
 
 def _overlap_scores(overlap: int, k: int) -> tuple[float, float, float]:
@@ -159,7 +170,8 @@ def _overlap_scores(overlap: int, k: int) -> tuple[float, float, float]:
 
 def _ranking(values: np.ndarray) -> np.ndarray:
     """Positions of ``values`` from the highest down, ties by ascending position: for
-    finite values aligned with sorted ids, the first k are where :func:`_top_k`'s ids are."""
+    finite values (:func:`_scored_dict` refuses others) aligned with sorted ids, the first
+    k are the top-k ids, ties broken by ascending id."""
     return np.argsort(-values, kind="stable")
 
 

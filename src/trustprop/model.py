@@ -17,11 +17,11 @@ which owns the row and column labels, everything read from them, the cells
 and the constructor that takes either form. The moves between a matrix and its
 cells (``nonzero_cells``, ``from_cells``), the row and column sums over cells
 (``row_sums``, ``column_sums``) and the checks on cell values
-(``cell_violations``) live here and nowhere else. Each grows with the cells,
-not with the matrix, except ``row_sums``, which keeps numpy's dense pairwise
-order and so reads every row, a few rows at a time, and the overflow check of
-``cell_violations``, which builds the dense matrix when the cells' magnitudes
-sum past half the float range.
+(``cell_violations``) live here and nowhere else, and each grows with the
+cells, not with the matrix. The sum order is set here once: a row's sum adds
+its cells in column order and a column's sum adds its cells in row order, one
+``np.bincount`` each. Trust divides by these sums and the overflow check
+reads them, so the two cannot disagree about a sum.
 """
 from __future__ import annotations
 
@@ -36,10 +36,6 @@ import numpy as np
 from .errors import InputError
 
 ROW_SUM_TOL = 1e-9
-
-#: Cells whose magnitudes sum to at most this cannot overflow added in any order (each
-#: partial sum is within a factor 1 + n * eps of their magnitudes' sum).
-_HALF_RANGE = np.finfo(float).max / 2
 
 
 class LayerId(Enum):
@@ -121,43 +117,19 @@ def from_cells(shape: tuple[int, int], rows, cols, values,
     return _read_only((rows[kept], cols[kept], values[kept].astype(float, copy=False)))
 
 
-#: the most cells :func:`row_sums` lays out densely at a time
-_GRID_CELLS = 1 << 16
-
-
 def row_sums(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
              shape: tuple[int, int]) -> np.ndarray:
-    """Each row's sum of row-major cells, bit for bit as numpy sums the row of the dense
-    C-order matrix (pairwise, in blocks set by the zero cells' places too). A few rows at a
-    time are laid out in one transient zero grid of at most ``_GRID_CELLS`` cells (or one
-    row); rows without cells sum to 0. A sum past the float range is inf, without a warning.
-    """
-    rows, cols, values = cells
-    n_rows, n_cols = shape
-    step = max(1, _GRID_CELLS // max(n_cols, 1))
-    sums = np.zeros(n_rows)
-    grid = np.zeros((min(step, n_rows), n_cols))
-    bounds = np.searchsorted(rows, np.arange(0, n_rows + step, step)).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, lo, hi in zip(range(0, n_rows, step), bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            local = rows[lo:hi] - start
-            grid[local, cols[lo:hi]] = values[lo:hi]
-            sums[start:start + step] = grid[:min(step, n_rows - start)].sum(axis=1)
-            grid[local, cols[lo:hi]] = 0.0
-    return sums
+    """Each row's sum of row-major cells, as float64: one ``np.bincount``, which adds a
+    row's cells in column order. Rows without cells sum to 0, and a sum past the float
+    range is inf (or NaN, where cells cancel), without a warning."""
+    return np.bincount(cells[0], weights=cells[2], minlength=shape[0]).astype(float, copy=False)
 
 
 def column_sums(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
                 shape: tuple[int, int]) -> np.ndarray:
-    """Each column's sum of row-major cells, bit for bit as numpy sums the rows of the
-    dense matrix's transposed view: each column's cells added in row order, except that
-    the transpose of a single column is one contiguous row, which numpy sums pairwise."""
-    rows, cols, values = cells
-    if shape[1] == 1:
-        return row_sums((cols, rows, values), shape[::-1])
-    return np.bincount(cols, weights=values, minlength=shape[1])
+    """Each column's sum of row-major cells, as :func:`row_sums` takes a row's: one
+    ``np.bincount``, which adds a column's cells in row order."""
+    return np.bincount(cells[1], weights=cells[2], minlength=shape[1]).astype(float, copy=False)
 
 
 def _first_asymmetry(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -203,10 +175,8 @@ def cell_violations(label: str, cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     and columns, which trust divides by their sums, must sum inside the float
     range. Each kind of bad cell or sum is reported at its first hit, row-major
     (rows before columns), except diagonal cells and row sums, which are all
-    reported. The messages and printed sums are those of the same checks on
-    the dense matrix: sums are numpy's dense row sums, and the overflow check,
-    run only when the cells' magnitudes sum past half the float range, sums
-    the dense matrix itself.
+    reported. Every sum is :func:`row_sums`' or :func:`column_sums`', the ones
+    trust divides by.
     """
     rows, cols, values = cells
     shape = len(row_ids), len(col_ids)
@@ -238,17 +208,10 @@ def cell_violations(label: str, cells: tuple[np.ndarray, np.ndarray, np.ndarray]
                 for i, total in enumerate(row_sums(cells, shape).tolist())
                 if total != 0.0 and abs(total - 1.0) > ROW_SUM_TOL]
     elif nonfinite is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, when cells cancel
-            # Whether cells near the float range's end overflow hangs on the order numpy
-            # adds the dense matrix in, zeros and all, so their sums are taken from the
-            # dense matrix, built for this check alone.
-            if (not np.abs(values).sum() <= _HALF_RANGE
-                    and not np.isfinite((dense := _dense(cells, shape)).sum())):
-                for axis, name, ids in ((1, "row", row_ids), (0, "column", col_ids)):
-                    if (k := _first(~np.isfinite(dense.sum(axis=axis)))) is not None:
-                        out.append(f"{label}: the {noun}s in {name} {ids[k]} sum past "
-                                   "the float range")
-                        break
+        for sums, name, ids in ((row_sums, "row", row_ids), (column_sums, "column", col_ids)):
+            if (k := _first(~np.isfinite(sums(cells, shape)))) is not None:
+                out.append(f"{label}: the {noun}s in {name} {ids[k]} sum past the float range")
+                break
     return out
 
 
@@ -258,18 +221,11 @@ def _read_only(cells: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return tuple(cells)
 
 
-def _dense(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
-           shape: tuple[int, int]) -> np.ndarray:
-    """The dense matrix of ``shape``, zero-filled around ``cells``."""
-    rows, cols, values = cells
-    dense = np.zeros(shape)
-    dense[rows, cols] = values
-    return dense
-
-
 def _dense_view(matrix: _LabelledMatrix) -> np.ndarray:
-    """A matrix's dense form, built on first read, read-only."""
-    dense = _dense(matrix.cells, matrix.shape)
+    """A matrix's dense form, zero-filled around its cells, built on first read, read-only."""
+    rows, cols, values = matrix.cells
+    dense = np.zeros(matrix.shape)
+    dense[rows, cols] = values
     dense.setflags(write=False)
     return dense
 
@@ -428,6 +384,9 @@ class ScoreVector:
                 f"{self.layer.value} {self.kind.value} scores: {arr.shape[0]} values for "
                 f"{len(self.entity_ids)} entity ids"
             )
+        if (bad := np.flatnonzero(~np.isfinite(arr))).size:
+            raise InputError(f"{self.layer.value} {self.kind.value} scores: non-finite entry "
+                             f"{arr[bad[0]]} for {self.entity_ids[bad[0]]}")
         if arr.size and (arr < 0).any():
             raise InputError(f"{self.layer.value} {self.kind.value} scores: negative entry")
         arr = np.ascontiguousarray(arr)

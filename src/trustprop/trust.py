@@ -5,11 +5,10 @@ their sum; sources with no edges keep an all-zero row rather than being
 smoothed. Reverse trust for a belongs-to block is the same normalization
 applied to the transpose, giving the child-to-parent direction. Blocks and
 trust are both stored as their cells: only the block's cells are divided, and
-the trust matrix keeps the quotients as its cells. Each sum has the bits the
-dense matrix would give it: a forward row sum is numpy's pairwise sum of the
-dense row, laid out a few rows at a time (:func:`model.row_sums`), and a
-reverse row sum adds a column's cells in row order, as numpy sums the strided
-transpose (:func:`model.column_sums`).
+the trust matrix keeps the quotients as its cells. A forward row sum adds the
+row's cells in column order (:func:`model.row_sums`), and a reverse row sum
+adds a column's cells in row order (:func:`model.column_sums`): the sums that
+validation checks for overflow.
 """
 from __future__ import annotations
 

@@ -125,11 +125,29 @@ def test_kendall_matches_the_pair_loop_bit_for_bit():
             assert got == num / math.sqrt(denom_sq), trial
 
 
-def test_kendall_of_nan_is_nan_and_equal_infinities_tie():
-    assert math.isnan(kendall([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
-    assert math.isnan(kendall([1.0, 2.0, 3.0], [3.0, 2.0, math.nan]))
-    # pairs: one tied in a, two discordant
-    assert kendall([math.inf, math.inf, 0.0], [0.0, 1.0, 2.0]) == -2 / math.sqrt(6)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("metric", [spearman, kendall, rmse_mae])
+def test_paired_metrics_refuse_non_finite_values(metric, bad):
+    """A NaN or an infinity on either side is an input error naming its position."""
+    name = metric.__name__
+    with pytest.raises(InputError, match=f"^{name}: non-finite value {bad} at position 1$"):
+        metric([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(InputError, match=f"^{name}: non-finite value {bad} at position 0$"):
+        metric([1.0, 2.0, 3.0], [bad, bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("metric", [
+    lambda scored: top_k_ids(scored, 1),
+    lambda scored: precision_at_k(scored, dict.fromkeys(scored, 1.0), 1),
+    lambda scored: precision_at_k(dict.fromkeys(scored, 1.0), scored, 1),
+    lambda scored: build_report("doctor", "votes", "", scored, dict.fromkeys(scored, 1.0), 1),
+    lambda scored: build_report("doctor", "votes", "", dict.fromkeys(scored, 1.0), scored, 1),
+])
+def test_scored_metrics_refuse_non_finite_scores(metric, bad):
+    """A NaN or an infinity among scores or truth is an input error naming its id."""
+    with pytest.raises(InputError, match=f"^non-finite score {bad} for 'b'$"):
+        metric({"a": 1.0, "b": bad, "c": bad})
 
 
 def test_perfect_and_reversed_correlation():
@@ -201,12 +219,13 @@ scores_by_id = st.dictionaries(
 @given(scores_by_id, scores_by_id, st.data())
 def test_ranking_aligned_arrays_equals_top_k(scores, truth, data):
     """On finite scores, a stable argsort of the values aligned with the sorted ids
-    gives _top_k's ids in its order, ties broken by ascending id, and build_report's
-    top-k metrics are precision_at_k's over the shared ids."""
+    gives the k highest scores' ids in order, ties broken by ascending id, and
+    build_report's top-k metrics are precision_at_k's over the shared ids."""
     ids = sorted(scores)
     k = data.draw(st.integers(1, len(ids)))
     ranking = metrics._ranking(np.array([scores[i] for i in ids]))
-    assert [ids[p] for p in ranking[:k].tolist()] == metrics._top_k(scores, k)
+    assert ([ids[p] for p in ranking[:k].tolist()]
+            == sorted(scores, key=lambda i: (-scores[i], i))[:k] == top_k_ids(scores, k))
 
     shared = set(scores) & set(truth)
     if shared:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from trustprop import (AdjacencyBlock, LayerId, MultiLayerNetwork, ScoreVector, TrustMatrix,
                        validate_network)
-from trustprop import model
 from trustprop.errors import InputError
 from trustprop.model import (INTER_LAYER_PAIRS, LAYERS, ROW_SUM_TOL, ScoreKind, cell_violations,
                              column_sums, from_cells, nonzero_cells, row_sums)
@@ -78,6 +79,15 @@ def test_score_vector_rejects_negative_values():
     with pytest.raises(InputError, match="hospital residual scores: negative entry"):
         ScoreVector(layer=LayerId.HOSPITAL, kind=ScoreKind.RESIDUAL,
                     entity_ids=("H1",), values=np.array([-0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_vector_rejects_non_finite_values(bad):
+    """NaN and infinities are refused as negative scores are, naming the first entity."""
+    with pytest.raises(InputError,
+                       match=f"^doctor initial scores: non-finite entry {bad} for P2$"):
+        ScoreVector(layer=LayerId.DOCTOR, kind=ScoreKind.INITIAL,
+                    entity_ids=("P1", "P2", "P3"), values=np.array([0.5, bad, bad]))
 
 
 def test_score_vector_is_read_only():
@@ -248,10 +258,20 @@ def test_from_cells_refuses_bools(rows, cols, values, message):
         from_cells((2, 3), rows, cols, values, "b")
 
 
+def sequential_sums(values, axis):
+    """Each row's (``axis=1``) or column's (``axis=0``) sum of a dense matrix, added one
+    cell after another, zeros included: the last partial sum of ``np.cumsum``, and 0 for
+    a matrix of zero width along ``axis``. Not Python's ``sum``, which compensates on
+    3.12+."""
+    if values.shape[axis] == 0:
+        return np.zeros(values.shape[1 - axis])
+    return np.cumsum(values, axis=axis).take(-1, axis=axis)
+
+
 def dense_cell_violations(label, values, row_ids, col_ids, *, square, symmetric=False,
                           stochastic=False):
-    """The oracle: ``cell_violations`` as it was when it read the dense matrix, with one
-    n x n mask per check."""
+    """The oracle: ``cell_violations`` on the dense matrix, with one n x n mask per check,
+    each row and column summed in row-major order."""
     def first_cell(mask):
         hits = np.flatnonzero(mask)
         return np.unravel_index(hits[0], mask.shape) if hits.size else None
@@ -277,16 +297,14 @@ def dense_cell_violations(label, values, row_ids, col_ids, *, square, symmetric=
         if (hit := first_cell(values > 1 + ROW_SUM_TOL)) is not None:
             out.append(f"{label}: {noun} above 1 at {cell(*hit)}")
         out += [f"{label}: row {row_ids[i]} sums to {total}, not 0 or 1"
-                for i, total in enumerate(values.sum(axis=1).tolist())
+                for i, total in enumerate(sequential_sums(values, 1).tolist())
                 if total != 0.0 and abs(total - 1.0) > ROW_SUM_TOL]
     elif nonfinite is None:
-        with np.errstate(over="ignore"):
-            if not np.isfinite(values.sum()):
-                for axis, name, ids in ((1, "row", row_ids), (0, "column", col_ids)):
-                    if (hit := first_cell(~np.isfinite(values.sum(axis=axis)))) is not None:
-                        out.append(f"{label}: the {noun}s in {name} {ids[hit[0]]} sum past "
-                                   "the float range")
-                        break
+        for axis, name, ids in ((1, "row", row_ids), (0, "column", col_ids)):
+            if (hit := first_cell(~np.isfinite(sequential_sums(values, axis)))) is not None:
+                out.append(f"{label}: the {noun}s in {name} {ids[hit[0]]} sum past "
+                           "the float range")
+                break
     return out
 
 
@@ -297,8 +315,9 @@ SOUND = st.one_of(st.just(0.0), st.integers(1, 8).flatmap(
     lambda d: st.integers(1, d).map(lambda k: k / d)), st.sampled_from([2.0, 7.0]))
 FAULTS = (1e308, -1.0, -1e308, np.nan, np.inf, -np.inf)
 
-#: a row of 16, which numpy sums in eight interleaved partial sums, holding 1e308 at
-#: columns 0 and 8 and -1e308 at column 1; the second example below swaps columns 1 and 8
+#: a row of 16, which numpy's dense sum adds in eight interleaved partial sums, holding
+#: 1e308 at columns 0 and 8 and -1e308 at column 1; the second example below swaps
+#: columns 1 and 8, so that the overflow moves from the dense order to the row-major one
 _INTERLEAVED = np.zeros((1, 16))
 _INTERLEAVED[0, [0, 1, 8]] = 1e308, -1e308, 1e308
 
@@ -332,11 +351,12 @@ def faulty_matrices(draw):
 @example((False, np.array([[0.0, 1e308, 1.0], [1.0, 1e308, 0.0]])), False)  # column c1
 @example((True, np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])), False)
 @example((True, np.array([[np.nan, 1.0], [1.0, 0.0]])), False)  # NaN differs from itself
-@example((False, _INTERLEAVED), False)  # overflows densely, not in row-major order
+@example((False, _INTERLEAVED), False)  # sound: row-major, it never passes 1e308
 @example((False, _INTERLEAVED[:, [0, 8, 2, 3, 4, 5, 6, 7, 1, 9, 10, 11, 12, 13, 14, 15]]),
-         False)  # overflows in row-major order, not densely
+         False)  # overflows in row-major order, though numpy's dense sum stays finite
 def test_cell_violations_match_the_dense_oracle(matrix, stochastic):
-    """The checks over a matrix's cells give the dense checks' messages, in order."""
+    """The checks over a matrix's cells give the dense checks' messages, in order, with
+    every sum added in row-major order."""
     square, values = matrix
     row_ids = tuple(f"r{i}" for i in range(values.shape[0]))
     col_ids = row_ids if square else tuple(f"c{j}" for j in range(values.shape[1]))
@@ -377,8 +397,9 @@ def test_symmetry_is_checked_past_16_bit_columns(mirror, expected):
 
 @st.composite
 def fractional_blocks(draw):
-    """Blocks up to 300 columns wide, so that numpy sums long rows pairwise in blocks
-    of 128, with fractional cells that add differently in another order."""
+    """Blocks up to 300 columns wide, long enough that numpy's dense sum would add a row
+    pairwise in blocks of 128, with fractional cells that add differently in another
+    order."""
     n_rows, n_cols = draw(st.integers(0, 40)), draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.integers(1, 13, size=(n_rows, n_cols)) / rng.integers(1, 13, size=(n_rows, n_cols))
@@ -386,18 +407,52 @@ def fractional_blocks(draw):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(fractional_blocks(), st.sampled_from([1, 300, 1 << 16]))
-@example(np.arange(1.0, 9.0)[:, None] / 7, 1 << 16)  # one column, summed pairwise
-@example((np.arange(200) % 13 + 1.0)[None, :] / 7, 1)  # one row
-def test_sums_over_cells_hold_the_dense_sums_bits(weights, grid_cells):
-    """Forward sums over the cells are ``weights.sum(axis=1)`` and reverse sums are
-    ``weights.T.sum(axis=1)``, bit for bit, whatever the grid the forward sums use."""
+@given(fractional_blocks())
+@example(np.arange(1.0, 9.0)[:, None] / 7)  # one column
+@example((np.arange(200) % 13 + 1.0)[None, :] / 7)  # one row
+def test_sums_over_cells_add_in_row_major_order(weights):
+    """Row sums over the cells add each row's cells in column order and column sums add
+    each column's cells in row order, bit for bit, as float64."""
     cells = nonzero_cells(weights)
-    default = model._GRID_CELLS
-    model._GRID_CELLS = grid_cells
-    try:
-        forward = row_sums(cells, weights.shape)
-    finally:
-        model._GRID_CELLS = default
-    assert forward.tobytes() == weights.sum(axis=1).tobytes()
+    for sums, axis in ((row_sums(cells, weights.shape), 1), (column_sums(cells, weights.shape), 0)):
+        assert sums.dtype == np.float64
+        assert sums.tobytes() == sequential_sums(weights, axis).tobytes()
+
+
+@st.composite
+def integer_blocks(draw):
+    """Blocks of integer-valued cells, counts or huge, whose total stays below 2**53."""
+    n_rows, n_cols = draw(st.integers(0, 40)), draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([13, 2**30, 2**53 // max(n_rows * n_cols, 1)]))
+    values = rng.integers(0, top, size=(n_rows, n_cols)).astype(float)
+    return values * (rng.random((n_rows, n_cols)) < draw(st.floats(0.0, 1.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(integer_blocks())
+@example(np.zeros((3, 0)))
+@example(np.full((2, 300), float(2**53 // 600)))
+def test_integer_sums_hold_the_dense_sums_bits(weights):
+    """Integer cells whose total stays below 2**53 sum exactly in any order, so their row
+    and column sums over the cells are numpy's dense ``weights.sum(axis=1)`` and
+    ``weights.T.sum(axis=1)``, bit for bit: the sums of intersection-count and belongs-to
+    blocks do not depend on the order."""
+    assert weights.sum() < 2**53
+    cells = nonzero_cells(weights)
+    assert row_sums(cells, weights.shape).tobytes() == weights.sum(axis=1).tobytes()
     assert column_sums(cells, weights.shape).tobytes() == weights.T.sum(axis=1).tobytes()
+
+
+def test_sums_grow_with_the_cells_not_with_the_matrix():
+    """Row sums of three cells of a 100 000 x 1 000 000 matrix peak near their 0.8 MB
+    output: a dense row of that matrix alone is 8 MB."""
+    cells = from_cells((100_000, 1_000_000), [0, 5, 99_999], [7, 999_999, 0], [1.0, 2.0, 3.0], "m")
+    tracemalloc.start()
+    try:
+        sums = row_sums(cells, (100_000, 1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums[[0, 5, 99_999]].tolist() == [1.0, 2.0, 3.0] and sums.sum() == 6.0
+    assert peak < 4_000_000

@@ -337,9 +337,8 @@ def step_by_step(s0, trust, config, damping=1.0):
 
 
 def assert_matches_step_by_step(s0, trust, config, damping=1.0):
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in an s0 holding inf
-        scores, deltas, converged = step_by_step(s0, trust, config, damping)
-        result = propagate(s0, trust, config, damping)
+    scores, deltas, converged = step_by_step(s0, trust, config, damping)
+    result = propagate(s0, trust, config, damping)
     assert result.scores.values.tobytes() == scores.tobytes()
     assert np.array(result.deltas).tobytes() == np.array(deltas).tobytes()
     assert (result.iterations, result.converged) == (len(deltas), converged)
@@ -386,7 +385,7 @@ def propagation_cases(draw):
     max_iterations = draw(st.integers(0, 70) | st.just(1000))
     # blocks as long as the default allows, or of at most 1, 2, 3 or 5 steps
     block_scores = draw(st.sampled_from([scoring._BLOCK_SCORES, n, 2 * n, 3 * n, 5 * n]))
-    return trust, scores_from(s0), damping, norm, max_iterations, block_scores, draw(st.data())
+    return trust, s0, damping, norm, max_iterations, block_scores, draw(st.data())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -395,8 +394,13 @@ def test_blocked_propagation_matches_step_by_step_bit_for_bit(case):
     """Scores, deltas, iterations and convergence equal the step-by-step loop's,
     on both product routes, with and without damping, under both norms, with
     epsilon at each of the oracle's deltas, so that the first delta at or below it
-    falls at every offset of a block."""
+    falls at every offset of a block. An s0 holding NaN or inf is refused."""
     trust, s0, damping, norm, max_iterations, block_scores, data = case
+    if not np.isfinite(s0).all():
+        with pytest.raises(InputError, match="non-finite entry"):
+            scores_from(s0)
+        return
+    s0 = scores_from(s0)
     with mock.patch.object(scoring, "_BLOCK_SCORES", block_scores):
         never = ConvergenceConfig(epsilon=5e-324, max_iterations=max_iterations, norm=norm)
         deltas = assert_matches_step_by_step(s0, trust, never, damping)
@@ -440,7 +444,12 @@ def test_blocked_propagation_matches_at_every_block_end(block_scores, norm):
 ])
 @pytest.mark.parametrize("norm", list(DeltaNorm))
 def test_blocked_propagation_matches_on_one_node_and_without_cells(values, s0, norm):
-    """One node on either route, and matrices with no cells, with NaN and inf scores."""
+    """One node on either route, and matrices with no cells; an s0 holding NaN or inf is
+    refused."""
+    if not np.isfinite(s0).all():
+        with pytest.raises(InputError, match="non-finite entry"):
+            scores_from(s0)
+        return
     for max_iterations in (0, 1, 2, 3, 1000):
         for damping in (1.0, 0.5):
             config = ConvergenceConfig(max_iterations=max_iterations, norm=norm)

@@ -16,6 +16,7 @@ from trustprop.model import nonzero_cells
 from trustprop.scoring import ConvergenceConfig
 from trustprop.stress import export_edge_table
 
+from test_model import sequential_sums
 from test_stress import demo_scores, sparse_store
 
 
@@ -79,8 +80,9 @@ def test_reverse_trust_sums_over_the_transposed_view():
 
 def dense_trust(weights: np.ndarray) -> np.ndarray:
     """The dense derivation, kept as the oracle: each row divided by its sum into a
-    zero-filled array, rows whose sum is not positive left at zero."""
-    sums = weights.sum(axis=1, keepdims=True)
+    zero-filled array, rows whose sum is not positive left at zero. A row's sum adds its
+    cells one after another, not pairwise as ``weights.sum(axis=1)`` does."""
+    sums = sequential_sums(weights, 1)[:, None]
     return np.divide(weights, sums, out=np.zeros(weights.shape), where=sums > 0)
 
 
@@ -93,7 +95,8 @@ WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 3.0, 4.0, 5e-324, -
 
 @st.composite
 def blocks(draw):
-    # rows of 8 cells or more, which numpy sums pairwise, not one cell after another
+    # rows of 8 cells or more, where numpy's pairwise sum and a sum one cell after another
+    # can differ
     n, m = draw(st.integers(0, 20)), draw(st.integers(0, 20))
     return np.array(draw(st.lists(st.lists(WEIGHTS, min_size=m, max_size=m),
                                   min_size=n, max_size=n)), dtype=float).reshape(n, m)
@@ -109,7 +112,8 @@ def blocks(draw):
 @example(np.array([[k / 7 for k in range(1, 21)], [1 / 3] * 20]))
 def test_cells_divide_to_the_dense_derivations_bits(weights):
     """Forward and reverse trust, divided over the block's cells, hold the bytes of the
-    dense divide, and their cells are that array's nonzero cells, row-major."""
+    dense divide by sums added in row-major order, and their cells are that array's
+    nonzero cells, row-major."""
     block = block_from(weights)
     # a negative cell can cancel a row down to 5e-324, and dividing by that overflows to inf
     # in both derivations alike
