@@ -331,8 +331,9 @@ class TrustMatrix(_LabelledMatrix):
     for the same inspectability reason as AdjacencyBlock.
 
     Trust derived from a block, or rebuilt from an edge table, is given its
-    cells, and builds its dense ``values`` only when something reads it: the
-    dense product route and the closed form.
+    cells, and nothing in the pipeline reads its dense ``values``: derivation,
+    propagation, stress rebuilds and ``trust.json`` all work on the cells, and
+    only the closed form builds them.
     """
 
     _MATRIX = "values"

@@ -8,10 +8,11 @@ or the iteration cap is hit. With row-stochastic T the total score mass is
 conserved at every step.
 
 Every product ``s @ T`` sums ``s[i] * T[i, :]`` in row order, so its bits do not
-depend on the BLAS thread count. A sparse T is multiplied over the nonzero cells
-that the ``TrustMatrix`` stores, so a step costs its cells, not n², and its dense
-values are never built; a matrix at least an eighth full is multiplied over its
-dense values, built from its cells on the first product, in the same order.
+depend on the BLAS thread count. T is multiplied over the nonzero cells that the
+``TrustMatrix`` stores, so a step costs its cells, not n², and its dense values
+are never built: a matrix under an eighth full gathers each cell's score and sums
+the weights with ``np.bincount``; a fuller one repeats each score over its row's
+cells and adds them with ``np.add.at``. Both add a column's cells in row order.
 
 Convergence is checked a block of steps at a time: a block's iterates are kept,
 and one reduction gives every step's delta, each with the bits the step-by-step
@@ -197,27 +198,39 @@ def _check_damping(damping: float) -> float:
     return float(damping)
 
 
-#: the share of nonzero cells from which a matrix is multiplied over its dense values:
-#: near the break-even, as a listed cell costs 10 to 13 dense cells (measured on
-#: 300- and 1 000-node matrices)
+#: the share of nonzero cells from which a product repeats each score over its row's
+#: cells rather than gathering one score per cell. Repeating pays where rows are long:
+#: on a 16 %-full 1 063-node matrix a product takes 0.41-0.56 ms against 0.77-0.80 ms
+#: gathered; but on the 0.03-0.1 %-full matrices of one to four cells a row of a
+#: 13 000-doctor corpus it takes 1.0 to 1.7 times as long (numpy 2.4)
 _DENSE_SHARE = 1 / 8
 
 
 def _is_dense(matrix: TrustMatrix) -> bool:
-    """Whether a product with the matrix runs over its dense values."""
+    """Whether a product with the matrix repeats each score over its row's cells."""
     return matrix.nonzero_count >= _DENSE_SHARE * math.prod(matrix.shape)
 
 
 def _row_order_product(matrix: TrustMatrix) -> Callable[[np.ndarray], np.ndarray]:
     """The product ``vector -> vector @ matrix.values``, summed as
-    ``acc = acc + vector[i] * T[i]`` over the rows in order, with its route, cells
-    and shape read once. Both routes give the same bits: bincount adds each
-    column's cells in the order of the row-major cell list."""
-    n_cols = matrix.shape[1]
-    if _is_dense(matrix):
-        values = matrix.values
-        return lambda vector: np.einsum("i,ij->j", vector, values)
+    ``acc = acc + vector[i] * T[i]`` over the rows in order, from the matrix's cells,
+    with its route, cells and shape read once, and a new array from each call. A
+    dense matrix repeats each score over its row's cells, counted once, and
+    ``np.add.at`` adds the weights into their columns; a sparse one gathers each
+    cell's score and ``np.bincount`` sums the weights. Both routes give the same
+    bits: each adds a column's cells in the order of the row-major cell list."""
+    n_rows, n_cols = matrix.shape
     rows, cols, values = matrix.cells
+    if _is_dense(matrix):
+        counts = np.bincount(rows, minlength=n_rows)
+
+        def product(vector):
+            weights = np.repeat(vector, counts)
+            np.multiply(weights, values, out=weights)
+            out = np.zeros(n_cols)
+            np.add.at(out, cols, weights)
+            return out
+        return product
     if not len(values):  # bincount over no weights would give int64 zeros
         return lambda vector: np.zeros(n_cols)
     return lambda vector: np.bincount(cols, weights=vector[rows] * values, minlength=n_cols)
@@ -275,7 +288,7 @@ _BLOCK_CELLS = 2 ** 12
 
 
 def _block_cap(trust: TrustMatrix) -> int:
-    """The longest block of steps for this matrix: one step on the dense route or
+    """The longest block of steps for this matrix: one step for a dense matrix or
     from ``_BLOCK_CELLS`` cells, else as many as ``_BLOCK_SCORES`` scores hold."""
     if _is_dense(trust) or trust.nonzero_count >= _BLOCK_CELLS:
         return 1

@@ -548,14 +548,16 @@ def test_the_six_commands_read_no_dense_block(out, monkeypatch):
     assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
 
 
-def test_build_trust_and_report_read_no_dense_trust(out, monkeypatch):
-    """trust.json is written row by row from each trust matrix's cells: build, trust and
-    report run with a trust matrix's dense values refused."""
+def test_the_six_commands_read_no_dense_trust(out, monkeypatch):
+    """trust.json is written row by row from each trust matrix's cells, and propagation,
+    the initial scores and stress rescoring multiply over the cells: the six commands run
+    with a trust matrix's dense values refused, on the demo, whose trust matrices are all
+    at least an eighth full."""
     def refuse(matrix):
         raise AssertionError(f"{matrix.tag} trust: its dense values were read")
 
     monkeypatch.setattr(TrustMatrix, "values", property(refuse))
-    run_pipeline(DEMO / "config.json", out, commands=("build", "trust"))
+    run_pipeline(DEMO / "config.json", out)
     assert main(["report", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
     assert (out / "trust.json").exists()
 

@@ -274,25 +274,51 @@ def random_stochastic(rng, n_rows, n_cols, share):
 
 @pytest.mark.parametrize("n", [40, 120, 300])
 @pytest.mark.parametrize("share", [0.06, 0.5])
-def test_products_sum_in_row_order_bit_for_bit(n, share):
+@pytest.mark.parametrize("variant", ["plain", "empty_rows", "tall_feed"])
+def test_products_sum_in_row_order_bit_for_bit(n, share, variant):
     """One propagation step and one initial score equal the row-order loop exactly,
-    whether the matrix is multiplied over its cells (below an eighth full) or its
-    dense values, so the bits do not depend on how BLAS splits a product."""
+    whether a score is gathered per cell (below an eighth full) or repeated over its
+    row's cells, so the bits do not depend on how BLAS splits a product. The variants
+    add rows without cells to every matrix, or feed through an inter matrix with more
+    rows than columns rather than fewer."""
     rng = np.random.default_rng(n)
-    trust = trust_from(random_stochastic(rng, n, n, share))
+
+    def stochastic(n_rows, n_cols):
+        values = random_stochastic(rng, n_rows, n_cols, share)
+        if variant == "empty_rows":
+            values[::3] = 0.0
+        return values
+
+    trust = trust_from(stochastic(n, n))
     assert (trust.nonzero_count >= trust.values.size / 8) == (share > 1 / 8)
     s0 = scores_from(rng.random(n))
     step = propagate(s0, trust, ConvergenceConfig(max_iterations=1))
     assert np.array_equal(step.scores.values, row_order_loop(s0.values, trust.values))
 
-    m = n // 2 + 7
+    m = 2 * n + 7 if variant == "tall_feed" else n // 2 + 7
     feed_trust = TrustMatrix(rows=D, cols=H, row_ids=tuple(f"d{i}" for i in range(m)),
-                             col_ids=s0.entity_ids, values=random_stochastic(rng, m, n, share))
+                             col_ids=s0.entity_ids, values=stochastic(m, n))
+    assert scoring._is_dense(feed_trust) == scoring._is_dense(trust) == (share > 1 / 8)
+    if variant == "empty_rows":
+        assert not np.isin(np.arange(m), feed_trust.cells[0]).all()
     feed = scores_from(rng.random(m), layer=D, kind=ScoreKind.RESIDUAL)
     own = scores_from(rng.random(n), kind=ScoreKind.RESIDUAL)
     initial = initial_score(own, feed, feed_trust)
     assert np.array_equal(initial.values,
                           own.values + row_order_loop(feed.values, feed_trust.values))
+
+
+@pytest.mark.parametrize("share", [0.0, 0.06, 0.5])
+def test_each_product_is_a_new_array(share):
+    """A product never hands back an array that it returns again or writes later:
+    propagation keeps a block's iterates, and a reused buffer would overwrite them."""
+    rng = np.random.default_rng(3)
+    trust = trust_from(random_stochastic(rng, 50, 50, share))
+    product = _row_order_product(trust)
+    first = product(rng.random(50))
+    kept = first.copy()
+    second = product(rng.random(50))
+    assert not np.shares_memory(first, second) and np.array_equal(first, kept)
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (5, 5)])

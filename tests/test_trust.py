@@ -144,6 +144,27 @@ def test_scoring_a_sparse_network_builds_no_dense_trust():
     assert peak <= sum(8 * math.prod(m.shape) for m in matrices) / 4
 
 
+def test_scoring_a_dense_network_builds_no_dense_trust():
+    """Derived trust stays its cells through scoring where the doctor matrix is at least
+    an eighth full: the scoring peak stays under a quarter of the seven dense matrices'
+    bytes. Only scoring is traced, as derivation holds each cell's quotient and its row's
+    sum at once, about a quarter of the dense bytes on its own at this share."""
+    network = build_network(sparse_store(1000, n_hospitals=7))
+    trusts = derive_network_trust(network)
+    tracemalloc.start()
+    try:
+        demo_scores(network, trusts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrices = trusts.all_matrices()
+    doctors = trusts.intra[LayerId.DOCTOR]
+    assert doctors.shape == (1000, 1000)
+    assert doctors.nonzero_count >= math.prod(doctors.shape) / 8
+    assert [m.tag for m in matrices if "values" in vars(m)] == []
+    assert peak <= sum(8 * math.prod(m.shape) for m in matrices) / 4
+
+
 def traced_peak(n_doctors: int) -> int:
     """Peak traced bytes of build, validate, derive and 20 iterations of scoring, on a
     store where each hospital has 6 doctors and each department 3."""
